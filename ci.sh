@@ -21,6 +21,16 @@ cargo build --release
 echo "== cargo test =="
 cargo test -q
 
+echo "== cargo test, one test thread =="
+# Results and side effects must not depend on tests running
+# concurrently in one process (shared temp directories, panic hooks).
+cargo test -q -- --test-threads=1
+
+echo "== cargo test, TRACELENS_JOBS=2 =="
+# Every `jobs: 0` study in the suite resolves to two workers: span
+# trees, work counters and reports must match the sequential run.
+TRACELENS_JOBS=2 cargo test -q
+
 echo "== parallel equivalence (TRACELENS_JOBS=4) =="
 # The equivalence suite again, with the pool's auto job count forced to
 # 4: `jobs: 0` paths must resolve through the env var and still match

@@ -1,7 +1,7 @@
 //! The end-to-end causality analysis and its report.
 
 use crate::aggregate::Aggregator;
-use crate::classes::split_classes;
+use crate::classes::{split_classes, ClassSplit};
 use crate::contrast::{mine_contrasts_pooled, ContrastPattern, MiningStats};
 use crate::DEFAULT_SEGMENT_BOUND;
 use std::collections::BTreeMap;
@@ -262,6 +262,23 @@ impl CausalityAnalysis {
         dataset: &Dataset,
         scenario: &ScenarioName,
     ) -> Result<CausalityReport, CausalityError> {
+        let split = self.classify(dataset, scenario)?;
+        let (fast_agg, slow_agg) = self.aggregate(dataset, &split);
+        Ok(self.finish(scenario, &split, fast_agg, slow_agg))
+    }
+
+    /// The first step of [`CausalityAnalysis::analyze`]: runs the probe,
+    /// then splits `scenario`'s instances into contrast classes and
+    /// reports the class counters.
+    ///
+    /// # Errors
+    ///
+    /// As [`CausalityAnalysis::analyze`].
+    pub fn classify<'d>(
+        &self,
+        dataset: &'d Dataset,
+        scenario: &ScenarioName,
+    ) -> Result<ClassSplit<'d>, CausalityError> {
         if let Some(probe) = &self.probe {
             probe(scenario);
         }
@@ -289,14 +306,37 @@ impl CausalityAnalysis {
                 scenario: *scenario,
             });
         }
+        Ok(split)
+    }
 
+    /// The middle step of [`CausalityAnalysis::analyze`]: builds the Wait
+    /// Graphs of `split`'s fast and slow instances and aggregates each
+    /// class into its own [`Aggregator`].
+    pub fn aggregate<'d>(
+        &self,
+        dataset: &'d Dataset,
+        split: &ClassSplit<'_>,
+    ) -> (Aggregator<'d>, Aggregator<'d>) {
+        let _span = self.telemetry.span(stage::WAITGRAPH);
         let mut fast_agg = Aggregator::new(&dataset.stacks, &self.config.components);
         let mut slow_agg = Aggregator::new(&dataset.stacks, &self.config.components);
-        {
-            let _span = self.telemetry.span(stage::WAITGRAPH);
-            self.aggregate_instances(dataset, &split.fast, &mut fast_agg);
-            self.aggregate_instances(dataset, &split.slow, &mut slow_agg);
-        }
+        self.aggregate_instances(dataset, &split.fast, &mut fast_agg);
+        self.aggregate_instances(dataset, &split.slow, &mut slow_agg);
+        (fast_agg, slow_agg)
+    }
+
+    /// The last step of [`CausalityAnalysis::analyze`]: seals the AWGs
+    /// that were fed the Wait Graphs of `split`'s fast and slow
+    /// instances — each class in stream-position order, data set order
+    /// within a stream, as the AWG's node ids depend on insertion order
+    /// — then mines and ranks the contrast patterns.
+    pub fn finish(
+        &self,
+        scenario: &ScenarioName,
+        split: &ClassSplit<'_>,
+        fast_agg: Aggregator<'_>,
+        slow_agg: Aggregator<'_>,
+    ) -> CausalityReport {
         let (fast_awg, slow_awg) = {
             let _span = self.telemetry.span(stage::AGGREGATE);
             if self.config.reduce {
@@ -321,7 +361,7 @@ impl CausalityAnalysis {
             &self.pool,
         );
 
-        Ok(CausalityReport {
+        CausalityReport {
             scenario: *scenario,
             thresholds: split.thresholds,
             fast_instances: split.fast.len(),
@@ -331,16 +371,16 @@ impl CausalityAnalysis {
             stats,
             slow_scope_time: slow_awg.total_root_time(),
             slow_reduced_time: slow_awg.reduced_time(),
-        })
+        }
     }
 
     /// Builds and aggregates the Wait Graphs of `instances`, grouping by
-    /// stream so each stream's index is built once.
+    /// stream position so each stream's index is built once.
     ///
     /// Graph construction fans out over the analysis pool; aggregation
-    /// stays sequential in instance order (the AWG trie is insertion-
-    /// order-sensitive for node ids), so the aggregate is byte-identical
-    /// to a fully sequential run.
+    /// stays sequential in stream-position order, data set order within
+    /// a stream, so the aggregate is byte-identical to a fully
+    /// sequential run.
     fn aggregate_instances(
         &self,
         dataset: &Dataset,

@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tracelens::store::{self, CacheFallback, IngestSource};
 use tracelens::{render_markdown, ReportOptions, Study, StudyConfig};
 use tracelens_faults::{FaultInjector, FlakyReader};
@@ -187,12 +188,12 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
 
     let ckpt_dir = cfg
         .torn_checkpoint_active()
-        .then(|| scratch_dir(cfg, "ckpt"));
+        .then(|| ScratchDir::new(cfg, "ckpt"));
     let config = StudyConfig {
         jobs: 1,
         supervise: SupervisePolicy::from_knobs(0, 1),
         exec_faults: cfg.exec_plan(),
-        checkpoint: ckpt_dir.clone(),
+        checkpoint: ckpt_dir.as_ref().map(|d| d.path().to_path_buf()),
         govern: cfg.govern_policy(),
         mem_faults: cfg.mem_plan(),
         ..StudyConfig::default()
@@ -204,9 +205,6 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
             // A typed study error (e.g. every instance quarantined) is
             // an allowed degraded outcome, not a violation.
             art.degraded.push(format!("study refused: {e}"));
-            if let Some(dir) = &ckpt_dir {
-                let _ = fs::remove_dir_all(dir);
-            }
             return art;
         }
     };
@@ -216,13 +214,12 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
     if let Some(dir) = &ckpt_dir {
         art.resume = Some(check_torn_resume(
             cfg,
-            dir,
+            dir.path(),
             &study_input,
             &config,
             &names,
             &markdown,
         ));
-        let _ = fs::remove_dir_all(dir);
     }
 
     if !cfg.exec_active() {
@@ -278,10 +275,7 @@ fn snapshot(study: &Study) -> CoverageNumbers {
 /// and verify the tear is detected, the evidence preserved, and the
 /// data never laundered.
 fn check_torn_cache(cfg: &ChaosConfig, text: &[u8]) -> Result<(), String> {
-    let dir = scratch_dir(cfg, "cache");
-    let result = check_torn_cache_in(cfg, text, &dir);
-    let _ = fs::remove_dir_all(&dir);
-    result
+    check_torn_cache_in(cfg, text, ScratchDir::new(cfg, "cache").path())
 }
 
 fn check_torn_cache_in(cfg: &ChaosConfig, text: &[u8], dir: &Path) -> Result<(), String> {
@@ -435,17 +429,35 @@ fn check_baseline(
     Ok(())
 }
 
-/// A per-run scratch directory under the system temp dir; any previous
-/// leftover is removed first.
-fn scratch_dir(cfg: &ChaosConfig, purpose: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tl-chaos-{}-{:016x}-{purpose}",
-        std::process::id(),
-        cfg.seed
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+/// A per-run scratch directory under the system temp dir, removed when
+/// dropped. The name carries the process id and a process-wide counter,
+/// so concurrent runs of the same config — two campaigns with one seed
+/// in one process — never share a directory.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(cfg: &ChaosConfig, purpose: &str) -> ScratchDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "tl-chaos-{}-{}-{:016x}-{purpose}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed),
+            cfg.seed
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create scratch dir");
+        ScratchDir(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 // ---------------------------------------------------------------------

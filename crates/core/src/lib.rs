@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+mod pass;
 pub mod report;
 pub mod selfreport;
 pub mod store;

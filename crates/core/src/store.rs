@@ -299,6 +299,24 @@ fn skip_exact<R: Read>(reader: &mut R, mut n: usize) -> io::Result<()> {
     Ok(())
 }
 
+/// Reads a whole file through a [`RetryingReader`], returning the bytes
+/// and the retries it took. The buffer is sized from the file's metadata
+/// up front (one spare byte lets the final read see end-of-file without
+/// growing it), so a large corpus is never copied into a buffer of
+/// twice its size; without metadata the buffer grows as it reads.
+fn read_file(path: &Path) -> io::Result<(Vec<u8>, usize)> {
+    let file = File::open(path)?;
+    let expected = file
+        .metadata()
+        .ok()
+        .and_then(|m| usize::try_from(m.len()).ok())
+        .map_or(0, |len| len.saturating_add(1));
+    let mut reader = RetryingReader::new(file, RetryPolicy::default());
+    let mut text = Vec::with_capacity(expected);
+    reader.read_to_end(&mut text)?;
+    Ok((text, reader.retries()))
+}
+
 /// Reads a `.tlt` file, optionally through its `.tlb` binary cache.
 ///
 /// With `cache` set, the sibling cache path ([`cache_path_for`]) is
@@ -318,11 +336,7 @@ pub fn ingest_path(
     pool: &Pool,
     telemetry: &Telemetry,
 ) -> Result<(Dataset, IngestReport), ReadError> {
-    let file = File::open(path).map_err(ReadError::Io)?;
-    let mut reader = RetryingReader::new(file, RetryPolicy::default());
-    let mut text = Vec::new();
-    reader.read_to_end(&mut text).map_err(ReadError::Io)?;
-    let io_retries = reader.retries();
+    let (text, io_retries) = read_file(path).map_err(ReadError::Io)?;
 
     if !cache {
         let (ds, source) = ingest_bytes(&text, pool, telemetry)?;
@@ -437,6 +451,26 @@ mod tests {
 
     fn corpus(traces: usize) -> Vec<u8> {
         text_of(&DatasetBuilder::new(77).traces(traces).build())
+    }
+
+    #[test]
+    fn read_buffer_is_sized_to_the_file() {
+        let dir = std::env::temp_dir().join(format!("tl-store-read-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for len in [0usize, 1, 4095, 100_003, 3 << 20] {
+            let path = dir.join(format!("{len}.tlt"));
+            let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            std::fs::write(&path, &bytes).unwrap();
+            let (text, retries) = read_file(&path).unwrap();
+            assert_eq!(text, bytes);
+            assert_eq!(retries, 0);
+            assert!(
+                text.capacity() <= len + 64,
+                "{len}-byte file read into a {}-byte buffer",
+                text.capacity()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,8 +10,11 @@ use tracelens_impact::{ImpactAnalyzer, ImpactReport};
 use tracelens_model::{ComponentFilter, Dataset, SanitizeReport, ScenarioName, TimeNs};
 use tracelens_obs::{stage, Telemetry};
 use tracelens_pool::{
-    Degradation, ExecutionReport, GovernPolicy, GovernReport, Pool, SupervisePolicy, UnitMeta,
+    plan_admission, Admission, Degradation, ExecutionReport, GovernPolicy, GovernReport, Pool,
+    SupervisePolicy, UnitMeta,
 };
+
+use crate::pass::{scenario_unit, Pass, Supervision};
 
 /// Stage label of per-scenario supervised work units.
 pub const SCENARIO_STAGE: &str = "scenario";
@@ -91,6 +94,23 @@ fn degraded_view(dataset: &Dataset, degradation: &Degradation) -> Dataset {
     let span = hi - lo;
     let keep = span.saturating_mul(degradation.retain_per_mille as u64) / 1000;
     dataset.truncated(TimeNs(lo + keep))
+}
+
+/// Sanitizes `dataset` in a `sanitize` span, reporting what was repaired
+/// and quarantined.
+fn sanitize_traced(dataset: &Dataset, telemetry: &Telemetry) -> (Dataset, SanitizeReport) {
+    let (clean, report) = {
+        let _span = telemetry.span(stage::SANITIZE);
+        dataset.sanitize()
+    };
+    if telemetry.enabled() {
+        telemetry.count("sanitize.repaired", report.repaired() as u64);
+        let traces = report.quarantined_traces as u64;
+        telemetry.count("sanitize.quarantined_traces", traces);
+        let instances = report.quarantined_instances as u64;
+        telemetry.count("sanitize.quarantined_instances", instances);
+    }
+    (clean, report)
 }
 
 /// Configuration of a [`Study`].
@@ -339,14 +359,6 @@ impl Study {
     ) -> Study {
         let _span = telemetry.span(stage::STUDY);
         let pool = Pool::new(config.jobs).with_telemetry(telemetry.clone());
-        // The global impact pass gets the full pool (it fans out per
-        // stream); the per-scenario passes fan out over scenarios below,
-        // so their analyzers stay sequential — one level of parallelism,
-        // no thread multiplication.
-        let impact = ImpactAnalyzer::new(config.components.clone())
-            .with_telemetry(telemetry.clone())
-            .with_pool(pool.clone())
-            .analyze(dataset);
         let analyzer =
             ImpactAnalyzer::new(config.components.clone()).with_telemetry(telemetry.clone());
         let causality =
@@ -354,22 +366,22 @@ impl Study {
         if telemetry.enabled() {
             telemetry.count("study.scenarios", names.len() as u64);
         }
-        // Scenario tasks are independent; the merge below consumes them
+        // The pass fans out over streams; the scenario units fan out
+        // below and stay sequential inside — one level of parallelism.
+        let (pass, _) = Pass::run(
+            dataset,
+            &analyzer,
+            &causality,
+            |_| true,
+            names,
+            &pool,
+            Supervision::None,
+        );
+        let impact = pass.impact(telemetry);
+        // Scenario units are independent; the merge below consumes them
         // in input order, so the study is identical at any job count.
         let studies = pool.map(names, |_, name| {
-            let scenario_impact = analyzer.analyze_where(dataset, |i| i.scenario == *name);
-            let thresholds = dataset.scenario(name).map(|s| s.thresholds);
-            let slow_impact = match thresholds {
-                Some(th) => analyzer.analyze_where(dataset, |i| {
-                    i.scenario == *name && th.classify(i.duration()) == Some(false)
-                }),
-                None => ImpactReport::default(),
-            };
-            ScenarioStudy {
-                impact: scenario_impact,
-                slow_impact,
-                causality: causality.analyze(dataset, name),
-            }
+            scenario_unit(dataset, name, &analyzer, &causality, Some(&pass), telemetry)
         });
         let scenarios: BTreeMap<ScenarioName, ScenarioStudy> =
             names.iter().copied().zip(studies).collect();
@@ -447,84 +459,24 @@ impl Study {
             None => None,
         };
         let mut execution = ExecutionReport::default();
-
-        // Global impact: restore from the checkpoint when possible,
-        // otherwise run it supervised per stream. Only a run with no
-        // quarantined stream is stored — a partial impact report must
-        // be recomputed (and re-quarantined) on resume, never resumed
-        // as if it were complete.
-        let impact_probe = plan.map(|p| move |unit: &str| p.arm(stage::IMPACT, unit));
-        let analyzer_pooled = ImpactAnalyzer::new(config.components.clone())
-            .with_telemetry(telemetry.clone())
-            .with_pool(pool.clone());
-        let impact = match checkpoint.as_ref().and_then(|c| c.load_impact()) {
-            Some(saved) => {
-                execution.units += 1;
-                execution.completed += 1;
-                execution.restored += 1;
-                saved
-            }
-            None => {
-                let (impact, impact_exec) = analyzer_pooled.analyze_where_supervised(
-                    dataset,
-                    |_| true,
-                    policy,
-                    impact_probe.as_ref().map(|p| p as &(dyn Fn(&str) + Sync)),
-                );
-                if let Some(c) = &checkpoint {
-                    if impact_exec.failures.is_empty() {
-                        c.store_impact(&impact)
-                            .map_err(|source| StudyError::Checkpoint {
-                                dir: c.dir().to_path_buf(),
-                                source,
-                            })?;
-                    }
-                }
-                execution.absorb(impact_exec);
-                impact
-            }
-        };
-
-        // Per-scenario units: restored results short-circuit inside the
-        // supervised closure so unit indices (and therefore failure
-        // accounts) are identical with and without a warm checkpoint.
-        let restored = match &checkpoint {
-            Some(c) => {
-                let _span = telemetry.span(stage::CHECKPOINT);
-                c.load_units(names)
-            }
-            None => BTreeMap::new(),
-        };
         let analyzer =
             ImpactAnalyzer::new(config.components.clone()).with_telemetry(telemetry.clone());
-        let mut causality =
-            CausalityAnalysis::new(config.causality.clone()).with_telemetry(telemetry.clone());
-        if let Some(p) = plan {
-            causality = causality.with_probe(Arc::new(move |name: &ScenarioName| {
-                p.arm(CAUSALITY_STAGE, &format!("scenario:{name}"));
-            }));
-        }
+        // Whole and degraded units share one probe, so fault plans hit
+        // both alike.
+        let analysis_for = |causality: CausalityConfig| {
+            let analysis = CausalityAnalysis::new(causality).with_telemetry(telemetry.clone());
+            match plan {
+                Some(p) => analysis.with_probe(Arc::new(move |name: &ScenarioName| {
+                    p.arm(CAUSALITY_STAGE, &format!("scenario:{name}"));
+                })),
+                None => analysis,
+            }
+        };
+        let causality = analysis_for(config.causality.clone());
         if telemetry.enabled() {
             telemetry.count("study.scenarios", names.len() as u64);
         }
-        // Degraded units analyze a budget-bounded slice of the data set
-        // with a tighter segment bound; both analyzers share the same
-        // probe so fault plans hit degraded and whole units alike.
-        let mut degraded_causality = CausalityAnalysis::new(CausalityConfig {
-            segment_bound: config.causality.segment_bound.min(DEGRADED_SEGMENT_BOUND),
-            ..config.causality.clone()
-        })
-        .with_telemetry(telemetry.clone());
-        if let Some(p) = plan {
-            degraded_causality =
-                degraded_causality.with_probe(Arc::new(move |name: &ScenarioName| {
-                    p.arm(CAUSALITY_STAGE, &format!("scenario:{name}"));
-                }));
-        }
-        let mut per_scenario: BTreeMap<ScenarioName, usize> = BTreeMap::new();
-        for i in &dataset.instances {
-            *per_scenario.entry(i.scenario).or_insert(0) += 1;
-        }
+
         // Admission runs on estimates computed up front, in input order,
         // optionally inflated by the resource-pressure fault plan — so
         // the governor's verdicts are independent of scheduling.
@@ -540,21 +492,82 @@ impl Study {
                 (*n, est)
             })
             .collect();
-        let analyze_on = |ds: &Dataset, name: &ScenarioName, causality: &CausalityAnalysis| {
-            let scenario_impact = analyzer.analyze_where(ds, |i| i.scenario == *name);
-            let thresholds = ds.scenario(name).map(|s| s.thresholds);
-            let slow_impact = match thresholds {
-                Some(th) => analyzer.analyze_where(ds, |i| {
-                    i.scenario == *name && th.classify(i.duration()) == Some(false)
-                }),
-                None => ImpactReport::default(),
-            };
-            ScenarioStudy {
-                impact: scenario_impact,
-                slow_impact,
-                causality: causality.analyze(ds, name),
+        // The pass aggregates for every unit the governor will run whole
+        // (the verdicts are deterministic, see `plan_admission`):
+        // degraded units rebuild on their slice and shed units never run,
+        // so neither needs the pass's aggregators.
+        let labeled: Vec<(String, u64)> = names
+            .iter()
+            .map(|n| (format!("scenario:{n}"), estimates[n]))
+            .collect();
+        let whole: Vec<ScenarioName> = names
+            .iter()
+            .zip(plan_admission(&labeled, &config.govern).decisions)
+            .filter(|(_, d)| matches!(d.admission, Admission::Admitted | Admission::Queued))
+            .map(|(n, _)| *n)
+            .collect();
+
+        // Global impact: restore from the checkpoint when possible,
+        // otherwise run the per-stream pass supervised, one unit per
+        // stream. Only a pass with no quarantined stream is stored — a
+        // partial impact report must be recomputed (and re-quarantined)
+        // on resume, never resumed as if it were complete. Without a
+        // pass, every unit rebuilds its scenario from the data set.
+        let (impact, pass) = match checkpoint.as_ref().and_then(|c| c.load_impact()) {
+            Some(saved) => {
+                execution.units += 1;
+                execution.completed += 1;
+                execution.restored += 1;
+                (saved, None)
+            }
+            None => {
+                let (pass, pass_exec) = Pass::run(
+                    dataset,
+                    &analyzer,
+                    &causality,
+                    |_| true,
+                    &whole,
+                    &pool,
+                    Supervision::Units {
+                        policy,
+                        faults: plan,
+                    },
+                );
+                let impact = pass.impact(telemetry);
+                if let Some(c) = &checkpoint {
+                    if pass_exec.failures.is_empty() {
+                        c.store_impact(&impact)
+                            .map_err(|source| StudyError::Checkpoint {
+                                dir: c.dir().to_path_buf(),
+                                source,
+                            })?;
+                    }
+                }
+                execution.absorb(pass_exec);
+                (impact, Some(pass))
             }
         };
+
+        // Per-scenario units: restored results short-circuit inside the
+        // supervised closure so unit indices (and therefore failure
+        // accounts) are identical with and without a warm checkpoint.
+        let restored = match &checkpoint {
+            Some(c) => {
+                let _span = telemetry.span(stage::CHECKPOINT);
+                c.load_units(names)
+            }
+            None => BTreeMap::new(),
+        };
+        // Degraded units analyze a budget-bounded slice of the data set
+        // with a tighter segment bound.
+        let degraded_causality = analysis_for(CausalityConfig {
+            segment_bound: config.causality.segment_bound.min(DEGRADED_SEGMENT_BOUND),
+            ..config.causality.clone()
+        });
+        let mut per_scenario: BTreeMap<ScenarioName, usize> = BTreeMap::new();
+        for i in &dataset.instances {
+            *per_scenario.entry(i.scenario).or_insert(0) += 1;
+        }
         let (results, mut scenario_exec, governance) = pool.governed_supervised_map(
             names,
             SCENARIO_STAGE,
@@ -574,12 +587,19 @@ impl Study {
                     p.arm(SCENARIO_STAGE, &format!("scenario:{name}"));
                 }
                 match degradation {
-                    None => analyze_on(dataset, name, &causality),
+                    None => scenario_unit(
+                        dataset,
+                        name,
+                        &analyzer,
+                        &causality,
+                        pass.as_ref(),
+                        telemetry,
+                    ),
                     Some(d) => {
                         // The transient slice lives only while this unit
                         // runs — its size is what the degradation bought.
                         let view = degraded_view(dataset, d);
-                        analyze_on(&view, name, &degraded_causality)
+                        scenario_unit(&view, name, &analyzer, &degraded_causality, None, telemetry)
                     }
                 }
             },
@@ -674,21 +694,7 @@ impl Study {
         names: &[ScenarioName],
         telemetry: &Telemetry,
     ) -> Result<(Study, SanitizeReport), StudyError> {
-        let (clean, report) = {
-            let _span = telemetry.span(stage::SANITIZE);
-            dataset.sanitize()
-        };
-        if telemetry.enabled() {
-            telemetry.count("sanitize.repaired", report.repaired() as u64);
-            telemetry.count(
-                "sanitize.quarantined_traces",
-                report.quarantined_traces as u64,
-            );
-            telemetry.count(
-                "sanitize.quarantined_instances",
-                report.quarantined_instances as u64,
-            );
-        }
+        let (clean, report) = sanitize_traced(dataset, telemetry);
         if clean.instances.is_empty() && report.input_instances > 0 {
             return Err(StudyError::NoAnalyzableInstances {
                 input_instances: report.input_instances,
@@ -734,21 +740,7 @@ impl Study {
         names: &[ScenarioName],
         telemetry: &Telemetry,
     ) -> (Study, SanitizeReport) {
-        let (clean, report) = {
-            let _span = telemetry.span(stage::SANITIZE);
-            dataset.sanitize()
-        };
-        if telemetry.enabled() {
-            telemetry.count("sanitize.repaired", report.repaired() as u64);
-            telemetry.count(
-                "sanitize.quarantined_traces",
-                report.quarantined_traces as u64,
-            );
-            telemetry.count(
-                "sanitize.quarantined_instances",
-                report.quarantined_instances as u64,
-            );
-        }
+        let (clean, report) = sanitize_traced(dataset, telemetry);
         let mut study = Study::run_traced(&clean, config, names, telemetry);
         study.coverage = Coverage::from_sanitize(&report);
         (study, report)

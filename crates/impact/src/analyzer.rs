@@ -1,12 +1,12 @@
 //! The impact analyzer: Wait-Graph traversal and metric accumulation.
 
-use crate::report::ImpactReport;
+use crate::report::{ImpactReport, InstanceRecord};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tracelens_model::{
     ComponentFilter, Dataset, FilterView, ProcessId, ScenarioInstance, ScenarioName, TimeNs,
     TraceId, TraceStream,
 };
-use tracelens_pool::{ExecutionReport, Pool, SupervisePolicy, UnitMeta};
+use tracelens_pool::Pool;
 use tracelens_waitgraph::{NodeKind, StreamIndex, WaitGraph};
 
 /// Impact analysis for one component selection (paper §3.2).
@@ -29,11 +29,29 @@ use tracelens_waitgraph::{NodeKind, StreamIndex, WaitGraph};
 ///   total length of their union. (Concurrent but causally unrelated
 ///   component waits in one trace also merge — a deliberate, documented
 ///   approximation; see DESIGN.md.)
+///
+/// Every report is a reduction ([`ImpactReport::from_records`]) over
+/// per-instance [`InstanceRecord`]s, and every record comes from
+/// [`ImpactAnalyzer::visit_stream`]: one stream index, one Wait Graph
+/// per instance.
 #[derive(Debug, Clone)]
 pub struct ImpactAnalyzer {
     filter: ComponentFilter,
     telemetry: tracelens_obs::Telemetry,
     pool: Pool,
+}
+
+/// One stream and the instances analyzed over it (see
+/// [`ImpactAnalyzer::stream_groups`]).
+#[derive(Debug, Clone)]
+pub struct StreamGroup<'d> {
+    /// The stream's position in `Dataset::streams`.
+    pub position: usize,
+    /// The stream.
+    pub stream: &'d TraceStream,
+    /// The selected instances whose trace is the stream's id, in data
+    /// set order.
+    pub instances: Vec<&'d ScenarioInstance>,
 }
 
 impl ImpactAnalyzer {
@@ -54,9 +72,8 @@ impl ImpactAnalyzer {
     }
 
     /// Attaches a thread pool; per-stream analysis then fans out over its
-    /// workers. Results are identical to the sequential default — partial
-    /// reports are merged in stream order and distinct-wait unions are
-    /// per trace, so no thread schedule can reorder the output.
+    /// workers. Results are identical to the sequential default — the
+    /// reduction over instance records is order-independent.
     pub fn with_pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
         self
@@ -73,137 +90,85 @@ impl ImpactAnalyzer {
     }
 
     /// Analyzes the instances satisfying `keep` (e.g. a single scenario,
-    /// or only a slow class).
-    ///
-    /// Instances are pre-grouped per trace in a single pass, then each
-    /// stream with work is analyzed as one (possibly parallel) task; the
-    /// per-stream partial reports merge in stream order, so the result is
-    /// independent of job count.
+    /// or only a slow class): one (possibly parallel) task per stream
+    /// group, then one reduction over the records.
     pub fn analyze_where<F>(&self, dataset: &Dataset, keep: F) -> ImpactReport
     where
         F: Fn(&ScenarioInstance) -> bool,
     {
         let _span = self.telemetry.span(tracelens_obs::stage::IMPACT);
-        // One pass over the instances instead of one per stream.
-        let mut by_trace: HashMap<TraceId, Vec<&ScenarioInstance>> = HashMap::new();
-        for i in dataset.instances.iter().filter(|i| keep(i)) {
-            by_trace.entry(i.trace).or_default().push(i);
-        }
-        // Streams sharing a trace id (pre-sanitize duplicates) each
-        // analyze the full instance group, exactly as the per-stream
-        // filter scan did.
-        let tasks: Vec<(&TraceStream, &[&ScenarioInstance])> = dataset
-            .streams
-            .iter()
-            .filter_map(|s| {
-                by_trace
-                    .get(&s.id())
-                    .map(|instances| (s, instances.as_slice()))
-            })
-            .collect();
+        let groups = ImpactAnalyzer::stream_groups(dataset, keep);
         let view = dataset.stacks.filter_view(&self.filter);
-        let partials = self.pool.map(&tasks, |_, &(stream, instances)| {
-            self.analyze_stream(stream, instances, &view)
+        let records = self.pool.map(&groups, |_, g| {
+            let mut records = Vec::with_capacity(g.instances.len());
+            self.visit_stream(dataset, g.stream, &g.instances, &view, |_, r, _| {
+                records.push(r)
+            });
+            records
         });
-        self.merge_partials(partials.into_iter())
+        ImpactReport::from_records(records.iter().flatten())
     }
 
-    /// [`ImpactAnalyzer::analyze_where`] under supervision: each
-    /// per-stream task is one supervised work unit, so a panicking (or,
-    /// with a deadline configured, stalling) stream is quarantined —
-    /// excluded from the merged report — instead of aborting the whole
-    /// analysis. The returned [`ExecutionReport`] names every
-    /// quarantined stream and the instances lost with it.
-    ///
-    /// `probe` (when given) runs at the start of each unit with the
-    /// unit's label (`stream:<id>`) — the hook the execution-fault
-    /// injector arms, so injected panics genuinely originate inside the
-    /// analyzer's unit of work.
-    pub fn analyze_where_supervised<F>(
-        &self,
-        dataset: &Dataset,
-        keep: F,
-        policy: &SupervisePolicy,
-        probe: Option<&(dyn Fn(&str) + Sync)>,
-    ) -> (ImpactReport, ExecutionReport)
+    /// Groups the instances satisfying `keep` by stream, in one pass
+    /// over the instances: every stream whose id is the trace of at
+    /// least one kept instance, in stream order. Streams sharing an id
+    /// (unvalidated input) each get the whole group.
+    pub fn stream_groups<'d, F>(dataset: &'d Dataset, keep: F) -> Vec<StreamGroup<'d>>
     where
         F: Fn(&ScenarioInstance) -> bool,
     {
-        let _span = self.telemetry.span(tracelens_obs::stage::IMPACT);
         let mut by_trace: HashMap<TraceId, Vec<&ScenarioInstance>> = HashMap::new();
         for i in dataset.instances.iter().filter(|i| keep(i)) {
             by_trace.entry(i.trace).or_default().push(i);
         }
-        let tasks: Vec<(&TraceStream, &[&ScenarioInstance])> = dataset
+        dataset
             .streams
             .iter()
-            .filter_map(|s| {
-                by_trace
-                    .get(&s.id())
-                    .map(|instances| (s, instances.as_slice()))
+            .enumerate()
+            .filter_map(|(position, stream)| {
+                by_trace.get(&stream.id()).map(|instances| StreamGroup {
+                    position,
+                    stream,
+                    instances: instances.clone(),
+                })
             })
-            .collect();
-        let view = dataset.stacks.filter_view(&self.filter);
-        let (partials, execution) = self.pool.supervised_map(
-            &tasks,
-            tracelens_obs::stage::IMPACT,
-            policy,
-            |_, &(stream, instances)| {
-                UnitMeta::labeled(format!("stream:{}", stream.id().0))
-                    .for_stream(stream.id().0)
-                    .carrying(instances.len())
-            },
-            |_, &(stream, instances)| {
-                if let Some(probe) = probe {
-                    probe(&format!("stream:{}", stream.id().0));
-                }
-                self.analyze_stream(stream, instances, &view)
-            },
-        );
-        let report = self.merge_partials(partials.into_iter().flatten());
-        (report, execution)
+            .collect()
     }
 
-    /// One per-stream task: index the stream, build each instance's Wait
-    /// Graph, and account it into a partial report plus its counted wait
-    /// intervals.
-    fn analyze_stream(
+    /// The single builder every impact report and aggregated wait graph
+    /// derives from: indexes `stream` once, then builds each instance's
+    /// Wait Graph once, in order, accounts it into an [`InstanceRecord`]
+    /// and hands both to `visit`, which may keep the graph.
+    ///
+    /// `view` must be built from the dataset's stack table with this
+    /// analyzer's filter ([`tracelens_model::StackTable::filter_view`]).
+    pub fn visit_stream<'i, V>(
         &self,
+        dataset: &Dataset,
         stream: &TraceStream,
-        instances: &[&ScenarioInstance],
+        instances: &[&'i ScenarioInstance],
         view: &FilterView,
-    ) -> (TraceId, ImpactReport, Vec<(TimeNs, TimeNs)>) {
+        mut visit: V,
+    ) where
+        V: FnMut(&'i ScenarioInstance, InstanceRecord, WaitGraph),
+    {
         let index = StreamIndex::new_traced(stream, &self.telemetry);
-        let mut partial = ImpactReport::default();
-        let mut intervals = Vec::new();
-        for instance in instances {
+        let mut nodes_visited = 0;
+        for &instance in instances {
             let graph = WaitGraph::build_traced(stream, &index, instance, &self.telemetry);
-            partial.absorb(&self.account_graph(&graph, view, instance, &mut intervals));
+            let class = dataset
+                .scenario(&instance.scenario)
+                .and_then(|s| s.thresholds.classify(instance.duration()));
+            let record = self.record(&graph, view, instance, class);
+            nodes_visited += record.nodes_visited;
+            visit(instance, record, graph);
         }
-        (stream.id(), partial, intervals)
-    }
-
-    /// Deterministic merge: partials arrive in stream order; interval
-    /// unions are keyed per trace (and are order-independent anyway —
-    /// `union_length` sorts).
-    fn merge_partials(
-        &self,
-        partials: impl Iterator<Item = (TraceId, ImpactReport, Vec<(TimeNs, TimeNs)>)>,
-    ) -> ImpactReport {
-        let mut intervals: BTreeMap<TraceId, Vec<(TimeNs, TimeNs)>> = BTreeMap::new();
-        let mut report = ImpactReport::default();
-        for (trace, partial, iv) in partials {
-            report.absorb(&partial);
-            intervals.entry(trace).or_default().extend(iv);
-        }
-        report.d_wait_dist = intervals.into_values().map(union_length).sum();
         if self.telemetry.enabled() {
             self.telemetry
-                .count("impact.instances", report.instances as u64);
+                .count("impact.instances", instances.len() as u64);
             self.telemetry
-                .count("impact.nodes_visited", report.nodes_visited as u64);
+                .count("impact.nodes_visited", nodes_visited as u64);
         }
-        report
     }
 
     /// Analyzes instances grouped per scenario, returning the per-scenario
@@ -211,13 +176,11 @@ impl ImpactAnalyzer {
     /// per scenario (a delay shared by two scenarios' instances counts
     /// once in each scenario's report).
     pub fn analyze_by_scenario(&self, dataset: &Dataset) -> BTreeMap<ScenarioName, ImpactReport> {
-        let mut out = BTreeMap::new();
         let names: BTreeSet<ScenarioName> = dataset.instances.iter().map(|i| i.scenario).collect();
-        for name in names {
-            let report = self.analyze_where(dataset, |i| i.scenario == name);
-            out.insert(name, report);
-        }
-        out
+        names
+            .into_iter()
+            .map(|name| (name, self.analyze_where(dataset, |i| i.scenario == name)))
+            .collect()
     }
 
     /// Analyzes instances grouped by the *process* of their initiating
@@ -226,7 +189,7 @@ impl ImpactAnalyzer {
     /// events are grouped under their thread's process id 0.
     pub fn analyze_by_process(&self, dataset: &Dataset) -> BTreeMap<ProcessId, ImpactReport> {
         // Resolve each instance's process from its thread's first event.
-        let mut pid_of = |i: &ScenarioInstance| -> ProcessId {
+        let pid_of = |i: &ScenarioInstance| -> ProcessId {
             dataset
                 .streams
                 .get(i.trace.0 as usize)
@@ -234,62 +197,54 @@ impl ImpactAnalyzer {
                 .map(|(_, e)| e.pid)
                 .unwrap_or(ProcessId(0))
         };
-        let pids: std::collections::BTreeSet<ProcessId> =
-            dataset.instances.iter().map(&mut pid_of).collect();
-        let mut out = BTreeMap::new();
-        for pid in pids {
-            let report = self.analyze_where(dataset, |i| {
-                dataset
-                    .streams
-                    .get(i.trace.0 as usize)
-                    .and_then(|s| s.events_of_thread(i.tid).next())
-                    .map(|(_, e)| e.pid)
-                    .unwrap_or(ProcessId(0))
-                    == pid
-            });
-            out.insert(pid, report);
-        }
-        out
+        let pids: BTreeSet<ProcessId> = dataset.instances.iter().map(pid_of).collect();
+        pids.into_iter()
+            .map(|pid| (pid, self.analyze_where(dataset, |i| pid_of(i) == pid)))
+            .collect()
     }
 
-    /// Accounts a single Wait Graph into a partial report (everything but
-    /// `d_wait_dist`), appending the counted top-level wait intervals to
-    /// `intervals` for later cross-graph union.
+    /// Accounts a single Wait Graph into the record of `instance`, whose
+    /// contrast class is `class`.
     ///
     /// `view` must be built from the dataset's stack table with this
     /// analyzer's filter ([`tracelens_model::StackTable::filter_view`]);
     /// the per-node component test is then an array lookup rather than a
     /// string match.
-    pub fn account_graph(
+    pub fn record(
         &self,
         graph: &WaitGraph,
         view: &FilterView,
         instance: &ScenarioInstance,
-        intervals: &mut Vec<(TimeNs, TimeNs)>,
-    ) -> ImpactReport {
-        let mut report = ImpactReport {
+        class: Option<bool>,
+    ) -> InstanceRecord {
+        let mut record = InstanceRecord {
+            trace: instance.trace,
+            scenario: instance.scenario,
+            class,
             d_scn: instance.duration(),
-            instances: 1,
-            ..ImpactReport::default()
+            d_run: TimeNs::ZERO,
+            d_wait: TimeNs::ZERO,
+            nodes_visited: 0,
+            intervals: Vec::new(),
         };
         // Explicit stack of (node, under_counted_wait).
         let mut todo: Vec<(tracelens_waitgraph::NodeId, bool)> =
             graph.roots().iter().map(|&r| (r, false)).collect();
         while let Some((id, under)) = todo.pop() {
             let node = graph.node(id);
-            report.nodes_visited += 1;
+            record.nodes_visited += 1;
             let mut now_under = under;
             match node.kind {
                 NodeKind::Wait { .. } | NodeKind::UnpairedWait => {
                     if view.top_component_symbol(node.stack).is_some() && !under {
-                        report.d_wait += node.duration;
-                        intervals.push((node.t, node.t + node.duration));
+                        record.d_wait += node.duration;
+                        record.intervals.push((node.t, node.t + node.duration));
                         now_under = true;
                     }
                 }
                 NodeKind::Running => {
                     if view.top_component_symbol(node.stack).is_some() {
-                        report.d_run += node.duration;
+                        record.d_run += node.duration;
                     }
                 }
                 NodeKind::Hardware => {}
@@ -298,54 +253,14 @@ impl ImpactAnalyzer {
                 todo.push((c, now_under));
             }
         }
-        report
+        record
     }
-}
-
-/// Total length of the union of half-open intervals.
-fn union_length(mut intervals: Vec<(TimeNs, TimeNs)>) -> TimeNs {
-    intervals.sort_unstable();
-    let mut total = TimeNs::ZERO;
-    let mut current: Option<(TimeNs, TimeNs)> = None;
-    for (s, e) in intervals {
-        if e <= s {
-            continue;
-        }
-        match current {
-            None => current = Some((s, e)),
-            Some((cs, ce)) => {
-                if s <= ce {
-                    current = Some((cs, ce.max(e)));
-                } else {
-                    total += ce - cs;
-                    current = Some((s, e));
-                }
-            }
-        }
-    }
-    if let Some((cs, ce)) = current {
-        total += ce - cs;
-    }
-    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tracelens_model::{ScenarioName, ThreadId, TraceStreamBuilder};
-
-    #[test]
-    fn union_length_merges_overlaps() {
-        let iv = vec![
-            (TimeNs(0), TimeNs(10)),
-            (TimeNs(5), TimeNs(15)),
-            (TimeNs(20), TimeNs(25)),
-            (TimeNs(25), TimeNs(30)), // touching: merges (half-open)
-            (TimeNs(50), TimeNs(50)), // empty: ignored
-        ];
-        assert_eq!(union_length(iv), TimeNs(25));
-        assert_eq!(union_length(Vec::new()), TimeNs::ZERO);
-    }
 
     /// Builds a dataset with one stream:
     ///   T1 (instance A) waits 10..30 in fv.sys;
@@ -542,51 +457,6 @@ mod tests {
                 .with_pool(Pool::new(jobs))
                 .analyze(&ds);
             assert_eq!(parallel, sequential, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn supervised_analysis_quarantines_poisoned_streams() {
-        // Two streams; a probe poisons stream 1. The clean stream's
-        // numbers survive, the poisoned stream is accounted as lost.
-        let mut ds = fixture();
-        let drv = ds.stacks.intern_symbols(&["app!M", "fs.sys!Recv"]);
-        let mut b = TraceStreamBuilder::new(1);
-        b.push_wait(ThreadId(4), TimeNs(0), TimeNs::ZERO, drv);
-        b.push_unwait(ThreadId(5), ThreadId(4), TimeNs(25), drv);
-        ds.streams.push(b.finish().unwrap());
-        ds.instances.push(ScenarioInstance {
-            trace: TraceId(1),
-            scenario: ScenarioName::new("B"),
-            tid: ThreadId(4),
-            t0: TimeNs(0),
-            t1: TimeNs(30),
-        });
-        let an = ImpactAnalyzer::new(ComponentFilter::suffix(".sys"));
-        let policy = SupervisePolicy {
-            max_retries: 0,
-            ..SupervisePolicy::default()
-        };
-        let poison = |unit: &str| {
-            if unit == "stream:1" {
-                panic!("poisoned {unit}");
-            }
-        };
-        let full = an.analyze(&ds);
-        for jobs in [1, 4] {
-            let an =
-                ImpactAnalyzer::new(ComponentFilter::suffix(".sys")).with_pool(Pool::new(jobs));
-            let (r, exec) = an.analyze_where_supervised(&ds, |_| true, &policy, Some(&poison));
-            assert_eq!(exec.quarantined(), 1, "jobs={jobs}");
-            assert_eq!(exec.failures[0].unit, "stream:1");
-            assert_eq!(exec.failures[0].stream, Some(1));
-            assert_eq!(exec.lost_instances(), 1);
-            assert_eq!(r.instances, 1, "only stream 0's instance counted");
-            assert!(r.d_scn < full.d_scn);
-            // Without a probe the supervised path equals the plain one.
-            let (clean, clean_exec) = an.analyze_where_supervised(&ds, |_| true, &policy, None);
-            assert_eq!(clean, full);
-            assert!(clean_exec.is_clean());
         }
     }
 

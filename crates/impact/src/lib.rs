@@ -32,6 +32,6 @@ mod analyzer;
 mod breakdown;
 mod report;
 
-pub use analyzer::ImpactAnalyzer;
+pub use analyzer::{ImpactAnalyzer, StreamGroup};
 pub use breakdown::{breakdown, Breakdown};
-pub use report::ImpactReport;
+pub use report::{ImpactReport, InstanceRecord};

@@ -1,7 +1,34 @@
 //! The impact-analysis report and its derived metrics.
 
+use std::collections::BTreeMap;
 use std::fmt;
-use tracelens_model::TimeNs;
+use tracelens_model::{ScenarioName, TimeNs, TraceId};
+
+/// The impact accounting of one scenario instance's Wait Graph: every
+/// number the [`ImpactReport`] of any group of instances is reduced
+/// from ([`ImpactReport::from_records`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InstanceRecord {
+    /// The trace the instance ran in; distinct waits are unioned per
+    /// trace.
+    pub trace: TraceId,
+    /// The instance's scenario.
+    pub scenario: ScenarioName,
+    /// The instance's contrast class under its scenario's thresholds:
+    /// `Some(true)` fast, `Some(false)` slow, `None` in the margin (or
+    /// its scenario defines no thresholds).
+    pub class: Option<bool>,
+    /// The instance's duration.
+    pub d_scn: TimeNs,
+    /// Running time of the chosen components in the graph.
+    pub d_run: TimeNs,
+    /// Top-level wait time of the chosen components in the graph.
+    pub d_wait: TimeNs,
+    /// Wait-Graph nodes visited while accounting.
+    pub nodes_visited: usize,
+    /// Wall-clock intervals of the counted top-level waits.
+    pub intervals: Vec<(TimeNs, TimeNs)>,
+}
 
 /// Output of impact analysis over a set of scenario instances
 /// (paper §3.2).
@@ -58,20 +85,54 @@ impl ImpactReport {
         (self.d_wait + self.d_run).ratio(self.d_scn)
     }
 
-    /// Merges another report into this one (metric sums add; used to
-    /// combine per-stream partial reports).
-    ///
-    /// Note: merging is only meaningful when the two reports were
-    /// produced over disjoint instance sets with a shared distinct-wait
-    /// account; [`crate::ImpactAnalyzer`] handles that internally.
-    pub(crate) fn absorb(&mut self, other: &ImpactReport) {
-        self.d_scn += other.d_scn;
-        self.d_wait += other.d_wait;
-        self.d_run += other.d_run;
-        self.d_wait_dist += other.d_wait_dist;
-        self.instances += other.instances;
-        self.nodes_visited += other.nodes_visited;
+    /// Reduces a group of instance records to the group's report: the
+    /// per-instance metrics add up, and `D_waitdist` is the length of
+    /// the union of the group's counted wait intervals, trace by trace.
+    /// The result does not depend on the order of `records`.
+    pub fn from_records<'r>(records: impl IntoIterator<Item = &'r InstanceRecord>) -> ImpactReport {
+        let mut report = ImpactReport::default();
+        let mut intervals: BTreeMap<TraceId, Vec<(TimeNs, TimeNs)>> = BTreeMap::new();
+        for r in records {
+            report.d_scn += r.d_scn;
+            report.d_wait += r.d_wait;
+            report.d_run += r.d_run;
+            report.instances += 1;
+            report.nodes_visited += r.nodes_visited;
+            intervals
+                .entry(r.trace)
+                .or_default()
+                .extend_from_slice(&r.intervals);
+        }
+        report.d_wait_dist = intervals.into_values().map(union_length).sum();
+        report
     }
+}
+
+/// Total length of the union of half-open intervals.
+fn union_length(mut intervals: Vec<(TimeNs, TimeNs)>) -> TimeNs {
+    intervals.sort_unstable();
+    let mut total = TimeNs::ZERO;
+    let mut current: Option<(TimeNs, TimeNs)> = None;
+    for (s, e) in intervals {
+        if e <= s {
+            continue;
+        }
+        match current {
+            None => current = Some((s, e)),
+            Some((cs, ce)) => {
+                if s <= ce {
+                    current = Some((cs, ce.max(e)));
+                } else {
+                    total += ce - cs;
+                    current = Some((s, e));
+                }
+            }
+        }
+    }
+    if let Some((cs, ce)) = current {
+        total += ce - cs;
+    }
+    total
 }
 
 impl fmt::Display for ImpactReport {
@@ -122,13 +183,54 @@ mod tests {
         assert_eq!(r.wait_amplification(), 0.0);
     }
 
+    fn record(trace: u32, d_wait: u64, intervals: &[(u64, u64)]) -> InstanceRecord {
+        InstanceRecord {
+            trace: TraceId(trace),
+            scenario: ScenarioName::new("S"),
+            class: None,
+            d_scn: TimeNs(100),
+            d_run: TimeNs(1),
+            d_wait: TimeNs(d_wait),
+            nodes_visited: 3,
+            intervals: intervals
+                .iter()
+                .map(|&(s, e)| (TimeNs(s), TimeNs(e)))
+                .collect(),
+        }
+    }
+
     #[test]
-    fn absorb_adds_fields() {
-        let mut a = report();
-        a.absorb(&report());
-        assert_eq!(a.d_scn, TimeNs(2000));
-        assert_eq!(a.instances, 20);
-        assert!((a.ia_wait() - 0.364).abs() < 1e-12);
+    fn from_records_adds_metrics_and_unions_waits_per_trace() {
+        let records = [
+            record(0, 10, &[(0, 10)]),
+            record(0, 10, &[(5, 15)]),
+            record(1, 10, &[(5, 15)]),
+        ];
+        let r = ImpactReport::from_records(&records);
+        assert_eq!(r.d_scn, TimeNs(300));
+        assert_eq!(r.d_wait, TimeNs(30));
+        assert_eq!(r.d_run, TimeNs(3));
+        assert_eq!(r.instances, 3);
+        assert_eq!(r.nodes_visited, 9);
+        // Trace 0: 0..15 once; trace 1: 5..15 — overlaps across traces
+        // are distinct waits.
+        assert_eq!(r.d_wait_dist, TimeNs(25));
+        let reversed: Vec<&InstanceRecord> = records.iter().rev().collect();
+        assert_eq!(ImpactReport::from_records(reversed), r);
+        assert_eq!(ImpactReport::from_records(&[]), ImpactReport::default());
+    }
+
+    #[test]
+    fn union_length_merges_overlaps() {
+        let iv = vec![
+            (TimeNs(0), TimeNs(10)),
+            (TimeNs(5), TimeNs(15)),
+            (TimeNs(20), TimeNs(25)),
+            (TimeNs(25), TimeNs(30)), // touching: merges (half-open)
+            (TimeNs(50), TimeNs(50)), // empty: ignored
+        ];
+        assert_eq!(union_length(iv), TimeNs(25));
+        assert_eq!(union_length(Vec::new()), TimeNs::ZERO);
     }
 
     #[test]

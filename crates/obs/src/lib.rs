@@ -49,7 +49,7 @@ pub use collect::{CollectingSink, RunReport, SpanReport, REPORT_VERSION};
 pub use histogram::{percentile_from_buckets, Histogram, DEFAULT_TIME_BOUNDS_NS};
 pub use registry::{HistogramSnapshot, MetricsSnapshot, Registry};
 pub use telemetry::{
-    NoopSink, SpanContext, SpanGuard, SpanId, Telemetry, TelemetrySink, WaitGuard,
+    AdoptGuard, NoopSink, SpanContext, SpanGuard, SpanId, Telemetry, TelemetrySink, WaitGuard,
 };
 
 /// Canonical names for the pipeline's *wait points* — places a thread

@@ -58,14 +58,12 @@ pub trait TelemetrySink: Send + Sync {
     /// [`TelemetrySink::thread_token`] is `target`.
     fn wake(&self, _name: &'static str, _target: u64) {}
 
-    /// Whether span context should be re-established on worker threads
-    /// (see [`Telemetry::propagation_context`]). Aggregating sinks keep
-    /// the default `false` so their per-thread span trees are unchanged;
-    /// event recorders return `true` to see worker activity nested under
-    /// the spawning stage.
-    fn wants_thread_context(&self) -> bool {
-        false
-    }
+    /// Called when the calling thread adopts `parent`, a span open on
+    /// another thread, as the parent of its own spans
+    /// ([`Telemetry::adopt`]), and with `None` when it lets go. Event
+    /// recorders attribute the thread's running time in between to the
+    /// adopted stage.
+    fn thread_adopt(&self, _parent: Option<SpanId>) {}
 }
 
 /// A sink that drops everything.
@@ -92,9 +90,9 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<(SpanId, &'static str)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The innermost open span on a thread: enough to re-open it (same
-/// name, explicit parent) on a worker thread via
-/// [`Telemetry::span_with_parent`].
+/// The innermost open span on a thread: what a worker thread adopts
+/// ([`Telemetry::adopt`]) so its spans nest under the stage that spawned
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {
     /// Id of the open span.
@@ -145,22 +143,10 @@ impl Telemetry {
     /// Opens a named span; it closes (and reports its wall time) when
     /// the returned guard drops.
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        let parent = match &self.sink {
-            Some(_) => SPAN_STACK.with(|s| s.borrow().last().map(|&(id, _)| id)),
-            None => None,
-        };
-        self.span_with_parent(name, parent)
-    }
-
-    /// Opens a named span under an *explicit* parent instead of the
-    /// calling thread's innermost open span — the cross-thread variant
-    /// of [`Telemetry::span`], used to nest worker activity under the
-    /// stage span that spawned it (see
-    /// [`Telemetry::propagation_context`]).
-    pub fn span_with_parent(&self, name: &'static str, parent: Option<SpanId>) -> SpanGuard {
         let Some(sink) = &self.sink else {
             return SpanGuard { open: None };
         };
+        let parent = SPAN_STACK.with(|s| s.borrow().last().map(|&(id, _)| id));
         let id = sink.span_enter(name, parent);
         SPAN_STACK.with(|s| s.borrow_mut().push((id, name)));
         SpanGuard {
@@ -183,19 +169,20 @@ impl Telemetry {
         })
     }
 
-    /// The span context to carry onto worker threads, or `None` when
-    /// the sink does not ask for one ([`TelemetrySink::wants_thread_context`]).
-    ///
-    /// Spawners pass the returned context to workers, which re-open it
-    /// with [`Telemetry::span_with_parent`] so their spans (and the
-    /// synthetic callstacks a recorder derives from them) nest under
-    /// the stage that fanned out, not under a bare thread root.
-    pub fn propagation_context(&self) -> Option<SpanContext> {
-        let sink = self.sink.as_ref()?;
-        if !sink.wants_thread_context() {
-            return None;
+    /// Makes `cx` — a spawner's [`Telemetry::current_span`] — the
+    /// parent of the spans the calling (worker) thread opens until the
+    /// returned guard drops. Nothing is reported to the sink: the span
+    /// tree has the same shape whether a stage's work ran on the
+    /// spawning thread or on a pool worker.
+    pub fn adopt(&self, cx: SpanContext) -> AdoptGuard {
+        let Some(sink) = &self.sink else {
+            return AdoptGuard { adopted: None };
+        };
+        SPAN_STACK.with(|s| s.borrow_mut().push((cx.id, cx.name)));
+        sink.thread_adopt(Some(cx.id));
+        AdoptGuard {
+            adopted: Some((Arc::clone(sink), cx.id)),
         }
-        self.current_span()
     }
 
     /// Marks the calling thread as blocking at the named wait point
@@ -305,6 +292,26 @@ impl Drop for SpanGuard {
     }
 }
 
+/// Ends a [`Telemetry::adopt`] on drop.
+#[must_use = "an adopted parent is released when its guard drops; bind it to a named variable"]
+pub struct AdoptGuard {
+    adopted: Option<(Arc<dyn TelemetrySink>, SpanId)>,
+}
+
+impl Drop for AdoptGuard {
+    fn drop(&mut self) {
+        if let Some((sink, id)) = self.adopted.take() {
+            SPAN_STACK.with(|s| {
+                let mut stack = s.borrow_mut();
+                if let Some(i) = stack.iter().rposition(|&(open, _)| open == id) {
+                    stack.remove(i);
+                }
+            });
+            sink.thread_adopt(None);
+        }
+    }
+}
+
 struct OpenWait {
     sink: Arc<dyn TelemetrySink>,
     token: u64,
@@ -396,9 +403,6 @@ mod tests {
                 .unwrap()
                 .push(format!("wake {name} target={target}"));
         }
-        fn wants_thread_context(&self) -> bool {
-            true
-        }
     }
 
     #[test]
@@ -475,7 +479,6 @@ mod tests {
         t.count("c", 1);
         // Default hooks are silent and token-free.
         assert!(t.thread_token().is_none());
-        assert!(t.propagation_context().is_none());
         let _w = t.wait("w");
         t.wake("w", 1);
         t.bind_thread("worker", 0);
@@ -502,16 +505,19 @@ mod tests {
     }
 
     #[test]
-    fn propagation_context_reopens_on_another_thread() {
+    fn adopted_context_parents_worker_spans_without_a_span_of_its_own() {
         let sink = Arc::new(LogSink::default());
         let t = Telemetry::with_sink(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
         let outer = t.span("outer");
-        let cx = t.propagation_context().expect("LogSink wants context");
+        let cx = t.current_span().expect("outer is open");
         assert_eq!(cx.name, "outer");
         std::thread::scope(|s| {
             s.spawn(|| {
-                let _worker = t.span_with_parent(cx.name, Some(cx.id));
-                let _inner = t.span("inner");
+                {
+                    let _adopted = t.adopt(cx);
+                    let _inner = t.span("inner");
+                }
+                SPAN_STACK.with(|s| assert!(s.borrow().is_empty()));
             });
         });
         drop(outer);
@@ -520,9 +526,7 @@ mod tests {
             events,
             vec![
                 "enter outer id=0 parent=None",
-                "enter outer id=1 parent=Some(0)",
-                "enter inner id=2 parent=Some(1)",
-                "exit id=2",
+                "enter inner id=1 parent=Some(0)",
                 "exit id=1",
                 "exit id=0",
             ]

@@ -35,7 +35,9 @@
 //! `selftrace` crate), each parallel batch additionally traces one
 //! `pool.join` barrier wait on the spawning thread, woken by the last
 //! worker to finish — the ETW-shaped wait/unwait edge the wait-graph
-//! meta-analysis pairs up.
+//! meta-analysis pairs up. A [`Pool::map_ordered`] batch instead traces
+//! one `pool.join` wait each time its consumer blocks on the next
+//! result, woken by the worker that produces it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,9 +51,11 @@ pub use govern::{
 };
 pub use supervise::{ExecutionReport, FailureReason, SupervisePolicy, UnitFailure, UnitMeta};
 
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use tracelens_obs::{waitpoint, Telemetry};
 
 /// Environment variable overriding the default worker count, honored by
@@ -169,7 +173,7 @@ impl Pool {
         // wake. One pairable wait/unwait edge, no strays.
         let spawner = self.telemetry.thread_token();
         let remaining = AtomicUsize::new(workers);
-        let context = self.telemetry.propagation_context();
+        let context = self.telemetry.current_span();
         let join_wait = self.telemetry.wait(waitpoint::POOL_JOIN);
         // Each worker collects (index, result) pairs; merging by index
         // afterwards keeps the output independent of scheduling.
@@ -184,8 +188,7 @@ impl Pool {
                     let fair = (w * items.len() / workers, (w + 1) * items.len() / workers);
                     s.spawn(move || {
                         telemetry.bind_thread("worker", w as u32);
-                        let _cx =
-                            context.map(|cx| telemetry.span_with_parent(cx.name, Some(cx.id)));
+                        let _cx = context.map(|cx| telemetry.adopt(cx));
                         let started = std::time::Instant::now();
                         let mut local: Vec<(usize, R)> = Vec::new();
                         let out = catch_unwind(AssertUnwindSafe(|| {
@@ -259,6 +262,131 @@ impl Pool {
             .collect()
     }
 
+    /// [`Pool::map`] that hands each result to `consume` in input order
+    /// as soon as it and every earlier result are ready, instead of
+    /// collecting them all.
+    ///
+    /// `consume` runs on the calling thread, so it may fold results into
+    /// unsynchronized state. Workers run at most
+    /// [`ORDERED_WINDOW`]` × jobs` items ahead of the consumer: a fold
+    /// over large per-item results holds a bounded number of them at
+    /// any time, whatever the item count. With `jobs == 1` each result
+    /// is consumed right after it is computed. A panic in `f` stops the
+    /// batch and is propagated to the caller; `consume` has then seen an
+    /// in-order prefix of the results before the panicking item.
+    pub fn map_ordered<T, R, F, C>(&self, items: &[T], f: F, mut consume: C)
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+        C: FnMut(usize, R),
+    {
+        let telemetry = &self.telemetry;
+        if telemetry.enabled() {
+            telemetry.count("pool.batches", 1);
+            telemetry.count("pool.tasks", items.len() as u64);
+        }
+        if self.jobs <= 1 || items.len() <= 1 {
+            for (i, item) in items.iter().enumerate() {
+                consume(i, f(i, item));
+            }
+            return;
+        }
+        let workers = self.jobs.min(items.len());
+        if telemetry.enabled() {
+            telemetry.gauge("pool.workers", workers as i64);
+        }
+        let window = ORDERED_WINDOW * workers;
+        let next = AtomicUsize::new(0);
+        let state = Mutex::new(Ordered {
+            ready: BTreeMap::new(),
+            consumed: 0,
+            awaited: None,
+            stopped: false,
+            panic: None,
+        });
+        let (produced, freed) = (Condvar::new(), Condvar::new());
+        let lock = || lock_ordered(&state);
+        let context = telemetry.current_span();
+        let spawner = telemetry.thread_token();
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                let (f, next, lock, produced, freed) = (&f, &next, &lock, &produced, &freed);
+                s.spawn(move || {
+                    telemetry.bind_thread("worker", w as u32);
+                    let _cx = context.map(|cx| telemetry.adopt(cx));
+                    let started = std::time::Instant::now();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        let mut st = lock();
+                        while i >= st.consumed + window && !st.stopped {
+                            st = freed.wait(st).unwrap_or_else(|e| e.into_inner());
+                        }
+                        if st.stopped {
+                            break;
+                        }
+                        drop(st);
+                        let out = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
+                        let mut st = lock();
+                        // Wake the consumer only when it is blocked on
+                        // exactly this item, or on any item after a
+                        // panic: one traced wake per traced wait.
+                        let wake = match out {
+                            Ok(r) => {
+                                st.ready.insert(i, r);
+                                st.awaited == Some(i)
+                            }
+                            Err(p) => {
+                                st.panic.get_or_insert(p);
+                                st.stopped = true;
+                                freed.notify_all();
+                                st.awaited.is_some()
+                            }
+                        };
+                        if wake {
+                            st.awaited = None;
+                            if let Some(token) = spawner {
+                                telemetry.wake(waitpoint::POOL_JOIN, token);
+                            }
+                            produced.notify_one();
+                        }
+                    }
+                    if telemetry.enabled() {
+                        telemetry.count("pool.parks", 1);
+                        let busy = started.elapsed().as_nanos();
+                        telemetry.record(
+                            "pool.worker_busy_ns",
+                            u64::try_from(busy).unwrap_or(u64::MAX),
+                        );
+                    }
+                });
+            }
+            // Workers blocked on the window must not outlive a consumer
+            // that stopped early, by a panic in `f` or in `consume`.
+            let _stop = StopOnDrop(&state, &freed);
+            for k in 0..items.len() {
+                let mut st = lock();
+                while !st.ready.contains_key(&k) && !st.stopped {
+                    st.awaited = Some(k);
+                    let _wait = telemetry.wait(waitpoint::POOL_JOIN);
+                    st = produced.wait(st).unwrap_or_else(|e| e.into_inner());
+                }
+                let Some(r) = st.ready.remove(&k) else { break };
+                drop(st);
+                consume(k, r);
+                lock().consumed = k + 1;
+                freed.notify_all();
+            }
+        });
+        let panic = lock().panic.take();
+        if let Some(p) = panic {
+            resume_unwind(p);
+        }
+    }
+
     /// Runs two independent closures, in parallel when the pool is.
     /// Returns `(a(), b())`.
     pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
@@ -292,6 +420,40 @@ impl Pool {
             }
             Err(p) => resume_unwind(p),
         }
+    }
+}
+
+/// How many items per worker [`Pool::map_ordered`] may run ahead of its
+/// consumer.
+pub const ORDERED_WINDOW: usize = 4;
+
+/// Shared state of one [`Pool::map_ordered`] batch.
+struct Ordered<R> {
+    /// Finished results not yet consumed, by item index.
+    ready: BTreeMap<usize, R>,
+    /// Items fully consumed so far: workers may start item `i` only
+    /// while `i < consumed + window`, so at most `window` results are
+    /// alive at once — running, waiting, or in the consumer's hands.
+    consumed: usize,
+    /// The item the consumer is blocked on, if it is.
+    awaited: Option<usize>,
+    /// Set when the batch ends early; workers stop claiming items.
+    stopped: bool,
+    /// The first panic raised by `f`.
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+fn lock_ordered<R>(state: &Mutex<Ordered<R>>) -> MutexGuard<'_, Ordered<R>> {
+    state.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Stops a [`Pool::map_ordered`] batch when the consumer leaves it.
+struct StopOnDrop<'a, R>(&'a Mutex<Ordered<R>>, &'a Condvar);
+
+impl<R> Drop for StopOnDrop<'_, R> {
+    fn drop(&mut self) {
+        lock_ordered(self.0).stopped = true;
+        self.1.notify_all();
     }
 }
 
@@ -371,6 +533,78 @@ mod tests {
         assert_eq!(Pool::sequential().jobs(), 1);
         assert!(!Pool::sequential().is_parallel());
         assert!(Pool::new(2).is_parallel());
+    }
+
+    #[test]
+    fn map_ordered_consumes_in_input_order_with_a_bounded_window() {
+        for jobs in [1, 2, 4, 8] {
+            let pool = Pool::new(jobs);
+            let items: Vec<u64> = (0..300).collect();
+            // Results computed but not yet consumed, and the most seen.
+            let (pending, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut seen = Vec::new();
+            pool.map_ordered(
+                &items,
+                |i, &x| {
+                    assert_eq!(i as u64, x);
+                    // Skewed costs: early items are the slowest.
+                    std::thread::sleep(std::time::Duration::from_micros((300 - x) / 10));
+                    let now = pending.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    x * 3
+                },
+                |i, r| {
+                    pending.fetch_sub(1, Ordering::SeqCst);
+                    seen.push((i, r));
+                },
+            );
+            let expect: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * 3)).collect();
+            assert_eq!(seen, expect, "jobs={jobs}");
+            let bound = ORDERED_WINDOW * jobs;
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= bound,
+                "jobs={jobs}: {peak} results held, window {bound}"
+            );
+        }
+    }
+
+    #[test]
+    fn map_ordered_propagates_panics_from_either_side() {
+        let items: Vec<u32> = (0..64).collect();
+        for jobs in [1, 4] {
+            let mut consumed = Vec::new();
+            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Pool::new(jobs).map_ordered(
+                    &items,
+                    |_, &x| {
+                        if x == 17 {
+                            panic!("boom on 17");
+                        }
+                        x
+                    },
+                    |_, x| consumed.push(x),
+                )
+            }));
+            assert!(r.is_err(), "jobs={jobs}");
+            // The batch stops early: the consumer saw an in-order prefix
+            // of the items before the panicking one.
+            let prefix: Vec<u32> = (0..consumed.len() as u32).collect();
+            assert_eq!(consumed, prefix, "jobs={jobs}");
+            assert!(consumed.len() <= 17, "jobs={jobs}");
+            let r = std::panic::catch_unwind(|| {
+                Pool::new(jobs).map_ordered(
+                    &items,
+                    |_, &x| x,
+                    |_, x| {
+                        if x == 5 {
+                            panic!("consumer");
+                        }
+                    },
+                )
+            });
+            assert!(r.is_err(), "jobs={jobs}: consumer panic");
+        }
     }
 
     #[test]

@@ -322,40 +322,69 @@ impl Pool {
         F: Fn(usize, &T) -> R + Sync,
         M: Fn(usize, &T) -> UnitMeta,
     {
+        let mut results = Vec::with_capacity(items.len());
+        let report =
+            self.supervised_map_ordered(items, stage, policy, meta, f, |_, r| results.push(r));
+        (results, report)
+    }
+
+    /// [`Pool::supervised_map`] that hands each unit's result — `None`
+    /// for a quarantined unit — to `consume` in input order as soon as
+    /// it is ready, instead of collecting them: the supervised
+    /// counterpart of [`Pool::map_ordered`], with the same bound on how
+    /// many results are held at once.
+    pub fn supervised_map_ordered<T, R, F, M, C>(
+        &self,
+        items: &[T],
+        stage: &'static str,
+        policy: &SupervisePolicy,
+        meta: M,
+        f: F,
+        mut consume: C,
+    ) -> ExecutionReport
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+        M: Fn(usize, &T) -> UnitMeta,
+        C: FnMut(usize, Option<R>),
+    {
         let _span = self.telemetry().span(tracelens_obs::stage::SUPERVISE);
         let _hook = PanicIsolation::install();
-        let outcomes = self.map(items, |i, item| run_unit(i, item, policy, &f));
         let mut report = ExecutionReport {
             units: items.len(),
             ..ExecutionReport::default()
         };
-        let mut results = Vec::with_capacity(items.len());
-        for (index, (outcome, item)) in outcomes.into_iter().zip(items).enumerate() {
-            report.retries += outcome.attempts - 1;
-            match outcome.result {
-                Ok(r) => {
-                    report.completed += 1;
-                    if outcome.attempts > 1 {
-                        report.recovered += 1;
+        self.map_ordered(
+            items,
+            |i, item| run_unit(i, item, policy, &f),
+            |index, outcome| {
+                report.retries += outcome.attempts - 1;
+                match outcome.result {
+                    Ok(r) => {
+                        report.completed += 1;
+                        if outcome.attempts > 1 {
+                            report.recovered += 1;
+                        }
+                        consume(index, Some(r));
                     }
-                    results.push(Some(r));
+                    Err(reason) => {
+                        let m = meta(index, &items[index]);
+                        report.failures.push(UnitFailure {
+                            index,
+                            stage,
+                            unit: m.unit,
+                            scenario: m.scenario,
+                            stream: m.stream,
+                            instances: m.instances,
+                            reason,
+                            attempts: outcome.attempts,
+                        });
+                        consume(index, None);
+                    }
                 }
-                Err(reason) => {
-                    let m = meta(index, item);
-                    report.failures.push(UnitFailure {
-                        index,
-                        stage,
-                        unit: m.unit,
-                        scenario: m.scenario,
-                        stream: m.stream,
-                        instances: m.instances,
-                        reason,
-                        attempts: outcome.attempts,
-                    });
-                    results.push(None);
-                }
-            }
-        }
+            },
+        );
         let telemetry = self.telemetry();
         if telemetry.enabled() {
             telemetry.count("supervisor.units", report.units as u64);
@@ -374,7 +403,7 @@ impl Pool {
                 (report.quarantined() - deadline) as u64,
             );
         }
-        (results, report)
+        report
     }
 }
 

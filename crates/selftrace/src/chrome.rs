@@ -137,6 +137,7 @@ pub fn chrome_trace_json(sessions: &[SelfTraceSession]) -> String {
                 RawEvent::SpanEnter { vtid, .. }
                 | RawEvent::WaitBegin { vtid, .. }
                 | RawEvent::Wake { vtid, .. }
+                | RawEvent::Adopt { vtid, .. }
                 | RawEvent::LockWait { vtid, .. }
                 | RawEvent::CounterAdd { vtid, .. }
                 | RawEvent::GaugeSet { vtid, .. } => Some(vtid),
@@ -233,6 +234,8 @@ pub fn chrome_trace_json(sessions: &[SelfTraceSession]) -> String {
                     }
                     w.end_obj();
                 }
+                // Adoption opens no span: nothing on the timeline.
+                RawEvent::Adopt { .. } => {}
                 RawEvent::LockWait { vtid, t, cost } => {
                     w.begin_obj(None);
                     w.str(Some("name"), waitpoint::OBS_LOCK);

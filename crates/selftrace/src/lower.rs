@@ -151,8 +151,18 @@ struct ThreadReplay {
     running_since: Option<u64>,
     /// Ids of spans currently open on this thread, innermost last.
     open_spans: Vec<u64>,
+    /// The span on another thread this one adopted as its parent.
+    adopted: Option<u64>,
     /// Waits currently open on this thread: token → (start, name).
     open_waits: HashMap<u64, (u64, &'static str)>,
+}
+
+impl ThreadReplay {
+    /// The span the thread's current activity belongs to: its innermost
+    /// open span, else the span it adopted.
+    fn innermost(&self) -> Option<u64> {
+        self.open_spans.last().copied().or(self.adopted)
+    }
 }
 
 /// Replays one recording into closed per-thread intervals.
@@ -180,8 +190,8 @@ fn replay(recording: &SelfTraceRecording) -> Vec<Interval> {
     }
 
     // The full ancestor frame chain of a span, outermost first,
-    // following parent links across threads. Adjacent duplicate frames
-    // (a stage span re-opened on a worker under itself) collapse.
+    // following parent links across threads (into the stage a worker
+    // adopted). Adjacent duplicate frames collapse.
     let frames_of = |span: Option<u64>| -> Vec<String> {
         let mut chain: Vec<&'static str> = Vec::new();
         let mut cur = span;
@@ -223,7 +233,7 @@ fn replay(recording: &SelfTraceRecording) -> Vec<Interval> {
                     vtid,
                     start,
                     end: t,
-                    frames: frames_of(state.open_spans.last().copied()),
+                    frames: frames_of(state.innermost()),
                 });
             }
         }
@@ -263,7 +273,7 @@ fn replay(recording: &SelfTraceRecording) -> Vec<Interval> {
                 };
                 let state = threads.entry(vtid).or_default();
                 if let Some((start, name)) = state.open_waits.remove(&token) {
-                    let mut frames = frames_of(state.open_spans.last().copied());
+                    let mut frames = frames_of(state.innermost());
                     frames.push(wait_frame(name));
                     out.push(Interval::Wait {
                         vtid,
@@ -288,7 +298,7 @@ fn replay(recording: &SelfTraceRecording) -> Vec<Interval> {
                 let state = threads.entry(vtid).or_default();
                 let was_running = state.running_since.is_some();
                 close_running(&mut out, &frames_of, state, vtid, t);
-                let mut frames = frames_of(state.open_spans.last().copied());
+                let mut frames = frames_of(state.innermost());
                 frames.push(wait_frame(name));
                 out.push(Interval::Wake {
                     vtid,
@@ -300,10 +310,16 @@ fn replay(recording: &SelfTraceRecording) -> Vec<Interval> {
                     state.running_since = Some(t);
                 }
             }
+            RawEvent::Adopt { parent, vtid, t } => {
+                let state = threads.entry(vtid).or_default();
+                close_running(&mut out, &frames_of, state, vtid, t);
+                state.adopted = parent;
+                state.running_since = Some(t);
+            }
             RawEvent::LockWait { vtid, t, cost } => {
                 let state = threads.entry(vtid).or_default();
                 close_running(&mut out, &frames_of, state, vtid, t);
-                let mut frames = frames_of(state.open_spans.last().copied());
+                let mut frames = frames_of(state.innermost());
                 frames.push(wait_frame(tracelens_obs::waitpoint::OBS_LOCK));
                 out.push(Interval::Wait {
                     vtid,
@@ -506,13 +522,13 @@ mod tests {
         {
             let _study = t.span("study");
             let _impact = t.span("impact");
-            let cx = t.propagation_context().expect("recorder wants context");
+            let cx = t.current_span().expect("impact is open");
             let main_token = t.thread_token().expect("main is bound");
             let join = t.wait(tracelens_obs::waitpoint::POOL_JOIN);
             std::thread::scope(|s| {
                 s.spawn(|| {
                     t.bind_thread("worker", 0);
-                    let _cx = t.span_with_parent(cx.name, Some(cx.id));
+                    let _cx = t.adopt(cx);
                     std::thread::sleep(std::time::Duration::from_millis(2));
                     t.wake(tracelens_obs::waitpoint::POOL_JOIN, main_token);
                 });

@@ -2,7 +2,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 use tracelens_obs::{SpanId, Telemetry, TelemetrySink};
 
@@ -35,7 +35,7 @@ thread_local! {
 /// time-ordered and per-thread sequences are strictly monotone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RawEvent {
-    /// A span opened (`Telemetry::span` / `span_with_parent`).
+    /// A span opened (`Telemetry::span`).
     SpanEnter {
         /// Sink-unique span id.
         id: u64,
@@ -84,6 +84,16 @@ pub enum RawEvent {
         /// Nanoseconds since session start.
         t: u64,
     },
+    /// A thread adopted a span open on another thread as the parent of
+    /// its own spans (`Telemetry::adopt`), or let go of it (`None`).
+    Adopt {
+        /// Adopted span id, `None` when released.
+        parent: Option<u64>,
+        /// Virtual thread that adopted.
+        vtid: u32,
+        /// Nanoseconds since session start.
+        t: u64,
+    },
     /// The recorder blocked on its own ingest lock for at least
     /// [`LOCK_WAIT_EVENT_NS`] — self-observation overhead surfaced as a
     /// completed wait interval `[t, t + cost]`.
@@ -128,6 +138,7 @@ impl RawEvent {
             | RawEvent::WaitBegin { t, .. }
             | RawEvent::WaitEnd { t, .. }
             | RawEvent::Wake { t, .. }
+            | RawEvent::Adopt { t, .. }
             | RawEvent::LockWait { t, .. }
             | RawEvent::CounterAdd { t, .. }
             | RawEvent::GaugeSet { t, .. } => t,
@@ -196,25 +207,31 @@ impl SelfTraceSink {
 
     /// Appends one event, stamping its timestamp *after* acquiring the
     /// ingest lock (per-thread timestamps stay monotone and lock-wait
-    /// intervals never overlap the event they delayed). Lock contention
-    /// is accounted, and surfaced as an `obs.lock` wait event when it
-    /// exceeds [`LOCK_WAIT_EVENT_NS`].
+    /// intervals never overlap the event they delayed). Only real
+    /// contention — the lock is held by another thread when this one
+    /// tries it — is accounted, and surfaced as an `obs.lock` wait
+    /// event when it lasts at least [`LOCK_WAIT_EVENT_NS`]; a slow but
+    /// uncontended acquire is scheduler noise, not a wait.
     fn push(&self, vtid: u32, make: impl FnOnce(u64) -> RawEvent) {
-        let attempt = self.now_ns();
-        let mut log = self.log.lock().expect("self-trace log lock");
-        let acquired = self.now_ns();
-        let waited = acquired.saturating_sub(attempt);
-        if waited > 0 {
-            self.lock_wait_ns.fetch_add(waited, Ordering::Relaxed);
-        }
-        if waited >= LOCK_WAIT_EVENT_NS {
-            log.push(RawEvent::LockWait {
-                vtid,
-                t: attempt,
-                cost: waited,
-            });
-        }
-        log.push(make(acquired));
+        let mut log = match self.log.try_lock() {
+            Ok(log) => log,
+            Err(TryLockError::Poisoned(e)) => panic!("self-trace log lock: {e}"),
+            Err(TryLockError::WouldBlock) => {
+                let attempt = self.now_ns();
+                let mut log = self.log.lock().expect("self-trace log lock");
+                let waited = self.now_ns().saturating_sub(attempt);
+                self.lock_wait_ns.fetch_add(waited, Ordering::Relaxed);
+                if waited >= LOCK_WAIT_EVENT_NS {
+                    log.push(RawEvent::LockWait {
+                        vtid,
+                        t: attempt,
+                        cost: waited,
+                    });
+                }
+                log
+            }
+        };
+        log.push(make(self.now_ns()));
     }
 
     /// Freezes the log into an immutable recording. The sink can keep
@@ -316,8 +333,13 @@ impl TelemetrySink for SelfTraceSink {
         });
     }
 
-    fn wants_thread_context(&self) -> bool {
-        true
+    fn thread_adopt(&self, parent: Option<SpanId>) {
+        let vtid = self.vtid();
+        self.push(vtid, |t| RawEvent::Adopt {
+            parent: parent.map(|p| p.0),
+            vtid,
+            t,
+        });
     }
 }
 

@@ -61,27 +61,6 @@ impl WaitGraph {
         telemetry.record("waitgraph.build_ns", elapsed);
         graph
     }
-
-    /// Builds the Wait Graphs of many instances of one stream, fanning
-    /// the per-instance builds out over `pool`.
-    ///
-    /// Each instance's graph is independent (the builder only reads the
-    /// stream and index), so this is an order-preserving parallel map:
-    /// `result[i]` is the graph of `instances[i]` regardless of job
-    /// count, and with a sequential pool this is exactly a `build_traced`
-    /// loop. Telemetry counters are merged in completion order — counter
-    /// sums are order-independent.
-    pub fn build_all(
-        stream: &TraceStream,
-        index: &StreamIndex,
-        instances: &[ScenarioInstance],
-        pool: &tracelens_pool::Pool,
-        telemetry: &tracelens_obs::Telemetry,
-    ) -> Vec<WaitGraph> {
-        pool.map(instances, |_, instance| {
-            WaitGraph::build_traced(stream, index, instance, telemetry)
-        })
-    }
 }
 
 struct Builder<'a> {
@@ -325,32 +304,6 @@ mod tests {
         // Must terminate; the inner re-entry of T1's wait becomes a leaf.
         assert!(wg.node_count() >= 2);
         assert!(wg.nodes().iter().any(|n| n.kind == NodeKind::UnpairedWait));
-    }
-
-    #[test]
-    fn build_all_matches_sequential_builds() {
-        let s = simple_chain();
-        let idx = StreamIndex::new(&s);
-        let instances = vec![
-            instance(1, 0, 25),
-            instance(2, 0, 25),
-            instance(1, 21, 26),
-            instance(1, 0, 25),
-        ];
-        let telemetry = tracelens_obs::Telemetry::noop();
-        let expected: Vec<WaitGraph> = instances
-            .iter()
-            .map(|i| WaitGraph::build(&s, &idx, i))
-            .collect();
-        for jobs in [1, 2, 4] {
-            let pool = tracelens_pool::Pool::new(jobs);
-            let got = WaitGraph::build_all(&s, &idx, &instances, &pool, &telemetry);
-            assert_eq!(got.len(), expected.len(), "jobs={jobs}");
-            for (g, e) in got.iter().zip(&expected) {
-                assert_eq!(g.roots(), e.roots(), "jobs={jobs}");
-                assert_eq!(g.node_count(), e.node_count(), "jobs={jobs}");
-            }
-        }
     }
 
     #[test]

@@ -30,6 +30,23 @@ fn campaign_is_byte_identical_across_job_counts() {
 }
 
 #[test]
+fn concurrent_same_seed_campaigns_print_identical_output() {
+    // Same seed, same process, at the same time: every scratch
+    // directory (checkpoints, caches) must be private to its run.
+    let renders: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| run_campaign(&options(8), &Telemetry::noop()).render()))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(renders[0], renders[1]);
+    assert_eq!(
+        renders[0],
+        run_campaign(&options(8), &Telemetry::noop()).render()
+    );
+}
+
+#[test]
 fn clean_campaign_has_zero_violations() {
     let report = run_campaign(&options(8), &Telemetry::noop());
     assert_eq!(report.records.len(), 8);

@@ -166,3 +166,76 @@ fn disabled_telemetry_changes_nothing_and_collects_nothing() {
     assert_eq!(a.fast_instances, b.fast_instances);
     assert_eq!(a.slow_instances, b.slow_instances);
 }
+
+/// A span tree's shape: names and nesting, with siblings in a canonical
+/// order (concurrent units open their spans in scheduling order).
+fn shape(spans: &[tracelens::obs::SpanReport]) -> Vec<String> {
+    let mut out: Vec<String> = spans
+        .iter()
+        .map(|s| format!("{}({})", s.name, shape(&s.children).join(",")))
+        .collect();
+    out.sort();
+    out
+}
+
+fn corpus() -> Dataset {
+    DatasetBuilder::new(11)
+        .traces(30)
+        .mix(ScenarioMix::Selected)
+        .build()
+}
+
+fn observed(ds: &Dataset, jobs: usize, supervised: bool) -> (Study, RunReport) {
+    let (telemetry, sink) = CollectingSink::telemetry();
+    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+    let config = StudyConfig {
+        jobs,
+        ..StudyConfig::default()
+    };
+    let study = if supervised {
+        Study::run_governed_traced(ds, &config, &names, &telemetry).unwrap()
+    } else {
+        Study::run_traced(ds, &config, &names, &telemetry)
+    };
+    (study, sink.report())
+}
+
+#[test]
+fn span_tree_has_the_same_shape_at_every_job_count() {
+    let ds = corpus();
+    for supervised in [false, true] {
+        let (_, one) = observed(&ds, 1, supervised);
+        let expect = shape(&one.spans);
+        assert_eq!(expect.len(), 1, "one root span: {expect:?}");
+        assert!(expect[0].starts_with("study("), "{expect:?}");
+        for jobs in [2, 8] {
+            let (_, report) = observed(&ds, jobs, supervised);
+            assert_eq!(
+                shape(&report.spans),
+                expect,
+                "supervised={supervised}, jobs={jobs}"
+            );
+        }
+    }
+}
+
+#[test]
+fn clean_study_builds_one_index_per_stream_and_one_graph_per_instance() {
+    let ds = corpus();
+    let streams_with_instances = ds
+        .streams
+        .iter()
+        .filter(|s| ds.instances.iter().any(|i| i.trace == s.id()))
+        .count() as u64;
+    for jobs in [1, 2] {
+        for supervised in [false, true] {
+            let (study, report) = observed(&ds, jobs, supervised);
+            assert!(study.execution.is_clean());
+            let get = |n: &str| report.metrics.counters.get(n).copied().unwrap_or(0);
+            let at = format!("jobs={jobs}, supervised={supervised}");
+            assert_eq!(get("waitgraph.graphs"), ds.instances.len() as u64, "{at}");
+            assert_eq!(get("waitgraph.indices"), streams_with_instances, "{at}");
+            assert_eq!(get("impact.instances"), ds.instances.len() as u64, "{at}");
+        }
+    }
+}
