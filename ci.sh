@@ -31,6 +31,11 @@ echo "== cargo test, TRACELENS_JOBS=2 =="
 # trees, work counters and reports must match the sequential run.
 TRACELENS_JOBS=2 cargo test -q
 
+echo "== benchmark tests (tlbench) =="
+# The benchmark is its own package built against the workspace crates by
+# path: a store or wait-graph API change that breaks it fails here.
+cargo test --offline -q --manifest-path tlbench/Cargo.toml
+
 echo "== parallel equivalence (TRACELENS_JOBS=4) =="
 # The equivalence suite again, with the pool's auto job count forced to
 # 4: `jobs: 0` paths must resolve through the env var and still match

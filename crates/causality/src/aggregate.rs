@@ -98,7 +98,7 @@ impl<'a> Aggregator<'a> {
         if self.view.contains_component(node.stack) {
             out.push(id);
         } else {
-            for &c in &node.children {
+            for &c in graph.children(id) {
                 self.collect_relevant_roots(graph, c, out);
             }
         }
@@ -168,8 +168,7 @@ impl<'a> Aggregator<'a> {
             } else {
                 let awg_id = self.find_or_create(parent, key);
                 self.record(awg_id, node.duration);
-                let children = node.children.clone();
-                self.insert_children(Some(awg_id), graph, &children);
+                self.insert_children(Some(awg_id), graph, graph.children(id));
                 i += 1;
             }
         }

@@ -304,27 +304,53 @@ fn skip_exact<R: Read>(reader: &mut R, mut n: usize) -> io::Result<()> {
 /// up front (one spare byte lets the final read see end-of-file without
 /// growing it), so a large corpus is never copied into a buffer of
 /// twice its size; without metadata the buffer grows as it reads.
-fn read_file(path: &Path) -> io::Result<(Vec<u8>, usize)> {
-    let file = File::open(path)?;
-    let expected = file
-        .metadata()
+fn read_file<R: Read>(
+    path: &Path,
+    open: impl Fn(&Path) -> io::Result<R>,
+) -> io::Result<(Vec<u8>, usize)> {
+    let expected = std::fs::metadata(path)
         .ok()
         .and_then(|m| usize::try_from(m.len()).ok())
         .map_or(0, |len| len.saturating_add(1));
-    let mut reader = RetryingReader::new(file, RetryPolicy::default());
+    let mut reader = RetryingReader::new(open(path)?, RetryPolicy::default());
     let mut text = Vec::with_capacity(expected);
     reader.read_to_end(&mut text)?;
     Ok((text, reader.retries()))
 }
 
+/// Buffer size of [`fingerprint_file`]: large enough that a read costs
+/// little more than its copy, small enough to stay in cache while hashed.
+const HASH_CHUNK: usize = 128 * 1024;
+
+/// [`binio::fingerprint_bytes`] of a file's contents and the retries it
+/// took, read through a [`RetryingReader`] into one fixed buffer: the
+/// file is never held in memory.
+fn fingerprint_file<R: Read>(
+    path: &Path,
+    open: impl Fn(&Path) -> io::Result<R>,
+) -> io::Result<(u64, usize)> {
+    let mut reader = RetryingReader::new(open(path)?, RetryPolicy::default());
+    let mut fingerprint = binio::Fingerprinter::new();
+    let mut buf = vec![0u8; HASH_CHUNK];
+    loop {
+        match reader.read(&mut buf)? {
+            0 => return Ok((fingerprint.finish(), reader.retries())),
+            n => fingerprint.update(&buf[..n]),
+        }
+    }
+}
+
 /// Reads a `.tlt` file, optionally through its `.tlb` binary cache.
 ///
 /// With `cache` set, the sibling cache path ([`cache_path_for`]) is
-/// consulted first: a cache whose fingerprint matches the current text
-/// bytes is loaded directly; a missing, stale, or corrupt cache is
-/// counted in the report and the text is parsed instead — after which a
-/// fresh cache is written (atomically: temp file + rename, best-effort)
-/// so the next read hits.
+/// consulted first. Its header names the fingerprint of the text it was
+/// packed from; only when the header is intact is the text hashed — in
+/// a fixed buffer, without holding it — and a match loads the cache,
+/// whose payload checksum is verified in full. A missing, stale, or
+/// corrupt cache is counted in the report and the text is read and
+/// parsed instead — after which a fresh cache, stamped with the
+/// fingerprint of the bytes actually parsed, is written (atomically:
+/// temp file + rename, best-effort) so the next read hits.
 ///
 /// # Errors
 ///
@@ -336,40 +362,50 @@ pub fn ingest_path(
     pool: &Pool,
     telemetry: &Telemetry,
 ) -> Result<(Dataset, IngestReport), ReadError> {
-    let (text, io_retries) = read_file(path).map_err(ReadError::Io)?;
+    ingest_path_via(path, cache, pool, telemetry, |p: &Path| File::open(p))
+}
 
-    if !cache {
-        let (ds, source) = ingest_bytes(&text, pool, telemetry)?;
-        let mut report = IngestReport::new(source, text.len(), &ds);
-        report.io_retries = io_retries;
-        return Ok((ds, report));
-    }
-
+/// [`ingest_path`] reading the text through `open`, the seam the tests
+/// inject transient read faults through.
+fn ingest_path_via<R: Read>(
+    path: &Path,
+    cache: bool,
+    pool: &Pool,
+    telemetry: &Telemetry,
+    open: impl Fn(&Path) -> io::Result<R>,
+) -> Result<(Dataset, IngestReport), ReadError> {
     let cache_path = cache_path_for(path);
-    let fingerprint = binio::fingerprint_bytes(&text);
-    let (cached, fallback) = load_cache(&cache_path, fingerprint, telemetry);
-    if let Some((ds, cache_bytes)) = cached {
-        telemetry.count("ingest.cache_hits", 1);
-        telemetry.count("ingest.events", ds.total_events() as u64);
-        let mut report = IngestReport::new(IngestSource::BinaryCache, cache_bytes, &ds);
-        report.io_retries = io_retries;
-        return Ok((ds, report));
+    let mut io_retries = 0;
+    let mut fallback = None;
+    if cache {
+        match probe_cache(path, &cache_path, &open, &mut io_retries, telemetry)? {
+            Ok((ds, cache_bytes)) => {
+                telemetry.count("ingest.cache_hits", 1);
+                telemetry.count("ingest.events", ds.total_events() as u64);
+                let mut report = IngestReport::new(IngestSource::BinaryCache, cache_bytes, &ds);
+                report.io_retries = io_retries;
+                return Ok((ds, report));
+            }
+            Err(reason) => fallback = Some(reason),
+        }
     }
 
+    let (text, retries) = read_file(path, &open).map_err(ReadError::Io)?;
     let (ds, source) = ingest_bytes(&text, pool, telemetry)?;
     let mut report = IngestReport::new(source, text.len(), &ds);
-    report.io_retries = io_retries;
-    report.cache_fallback = fallback;
-    if fallback.is_some() {
-        telemetry.count("ingest.cache_fallbacks", 1);
+    report.io_retries = io_retries + retries;
+    if !cache {
+        return Ok((ds, report));
     }
+    report.cache_fallback = fallback;
+    telemetry.count("ingest.cache_fallbacks", 1);
     if fallback == Some(CacheFallback::Corrupt) {
         report.cache_quarantined = quarantine_cache(&cache_path);
         if report.cache_quarantined {
             telemetry.count("ingest.cache_quarantined", 1);
         }
     }
-    report.cache_written = write_cache(&cache_path, &ds, fingerprint);
+    report.cache_written = write_cache(&cache_path, &ds, binio::fingerprint_bytes(&text));
     Ok((ds, report))
 }
 
@@ -391,32 +427,58 @@ pub fn cache_path_for(path: &Path) -> PathBuf {
     path.with_extension("tlb")
 }
 
-/// Attempts the cache load. Returns the data set and the cache's byte
-/// size on a fingerprint-matching hit, or the fallback reason.
-fn load_cache(
+/// Looks for a cache of the text at `path` that can stand in for it:
+/// the cache header first, then — only if it is intact — the text's
+/// fingerprint, then — only if they match — the whole cache, payload
+/// checksum included. Returns the data set and the cache's byte size on
+/// a hit, or the fallback reason; adds the retries the text read took
+/// to `io_retries`.
+///
+/// # Errors
+///
+/// I/O errors reading the text, as [`ReadError`].
+fn probe_cache<R: Read>(
+    path: &Path,
     cache_path: &Path,
-    fingerprint: u64,
+    open: impl Fn(&Path) -> io::Result<R>,
+    io_retries: &mut usize,
     telemetry: &Telemetry,
-) -> (Option<(Dataset, usize)>, Option<CacheFallback>) {
+) -> Result<Result<(Dataset, usize), CacheFallback>, ReadError> {
     let _span = telemetry.span(stage::INGEST);
-    let bytes = match std::fs::read(cache_path) {
-        Ok(bytes) => bytes,
-        Err(_) => return (None, Some(CacheFallback::Missing)),
+    let packed_from = match read_cache_header(cache_path) {
+        Ok(fingerprint) => fingerprint,
+        Err(reason) => return Ok(Err(reason)),
     };
-    // Cheap header check first: a stale cache is rejected without
-    // paying for the payload checksum.
+    let (fingerprint, retries) = fingerprint_file(path, open).map_err(ReadError::Io)?;
+    *io_retries += retries;
+    // A stale cache is rejected without reading past its header.
+    if fingerprint != packed_from {
+        return Ok(Err(CacheFallback::Stale));
+    }
+    Ok(load_cache(cache_path, fingerprint))
+}
+
+/// The source fingerprint in a cache's header.
+fn read_cache_header(cache_path: &Path) -> Result<u64, CacheFallback> {
+    let mut header = Vec::with_capacity(binio::HEADER_LEN);
+    File::open(cache_path)
+        .and_then(|f| f.take(binio::HEADER_LEN as u64).read_to_end(&mut header))
+        .map_err(|_| CacheFallback::Missing)?;
+    binio::header_fingerprint(&header).ok_or(CacheFallback::Corrupt)
+}
+
+/// Loads the whole cache, re-checking its header fingerprint against
+/// `fingerprint` (the file may have been replaced since the header was
+/// read) and its payload checksum.
+fn load_cache(cache_path: &Path, fingerprint: u64) -> Result<(Dataset, usize), CacheFallback> {
+    let bytes = std::fs::read(cache_path).map_err(|_| CacheFallback::Missing)?;
     match binio::header_fingerprint(&bytes) {
-        Some(fp) if fp != fingerprint => return (None, Some(CacheFallback::Stale)),
+        Some(fp) if fp != fingerprint => return Err(CacheFallback::Stale),
         Some(_) => {}
-        None => return (None, Some(CacheFallback::Corrupt)),
+        None => return Err(CacheFallback::Corrupt),
     }
-    match Dataset::read_binary(&bytes) {
-        Ok((ds, _)) => {
-            let len = bytes.len();
-            (Some((ds, len)), None)
-        }
-        Err(_) => (None, Some(CacheFallback::Corrupt)),
-    }
+    let (ds, _) = Dataset::read_binary(&bytes).map_err(|_| CacheFallback::Corrupt)?;
+    Ok((ds, bytes.len()))
 }
 
 /// Writes the cache atomically (temp sibling + rename). Best-effort: a
@@ -461,7 +523,7 @@ mod tests {
             let path = dir.join(format!("{len}.tlt"));
             let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             std::fs::write(&path, &bytes).unwrap();
-            let (text, retries) = read_file(&path).unwrap();
+            let (text, retries) = read_file(&path, |p: &Path| File::open(p)).unwrap();
             assert_eq!(text, bytes);
             assert_eq!(retries, 0);
             assert!(
@@ -550,6 +612,100 @@ mod tests {
         assert_eq!(text_of(&fourth), text_of(&sixth));
         assert_eq!(std::fs::read(&preserved).unwrap(), torn);
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Fails every other `read` with a transient error, so each
+    /// successful read costs exactly one retry.
+    struct Hiccups<R> {
+        inner: R,
+        calls: usize,
+    }
+
+    impl<R: Read> Read for Hiccups<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 2 == 1 {
+                return Err(io::Error::new(io::ErrorKind::Interrupted, "hiccup"));
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    fn test_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tl-store-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn same_length_edit_is_stale_and_repacked_from_the_new_text() {
+        let dir = test_dir("edit");
+        let path = dir.join("corpus.tlt");
+        let text = corpus(6);
+        std::fs::write(&path, &text).unwrap();
+        let (pool, tm) = (Pool::sequential(), Telemetry::noop());
+        ingest_path(&path, true, &pool, &tm).unwrap();
+        let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+
+        // Same size, same modification time, different content: only
+        // the fingerprint can tell.
+        let mut edited = text.clone();
+        let at = edited.iter().rposition(u8::is_ascii_digit).unwrap();
+        edited[at] = if edited[at] == b'9' {
+            b'8'
+        } else {
+            edited[at] + 1
+        };
+        std::fs::write(&path, &edited).unwrap();
+        let f = std::fs::File::options().write(true).open(&path).unwrap();
+        f.set_modified(mtime).unwrap();
+        drop(f);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), text.len() as u64);
+
+        let (ds, report) = ingest_path(&path, true, &pool, &tm).unwrap();
+        assert_eq!(report.cache_fallback, Some(CacheFallback::Stale));
+        assert_ne!(report.source, IngestSource::BinaryCache);
+        assert!(report.cache_written);
+        assert_eq!(
+            ds.to_binary(0),
+            Dataset::read_text_bytes(&edited).unwrap().to_binary(0)
+        );
+        // The repacked cache names the text it was parsed from, so the
+        // next read hits.
+        let image = std::fs::read(cache_path_for(&path)).unwrap();
+        assert_eq!(
+            binio::header_fingerprint(&image),
+            Some(binio::fingerprint_bytes(&edited))
+        );
+        let (_, warm) = ingest_path(&path, true, &pool, &tm).unwrap();
+        assert_eq!(warm.source, IngestSource::BinaryCache);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cache_hit_streams_the_text_once_and_reports_its_retries() {
+        let dir = test_dir("retries");
+        let path = dir.join("corpus.tlt");
+        std::fs::write(&path, corpus(6)).unwrap();
+        let (pool, tm) = (Pool::sequential(), Telemetry::noop());
+        let opens = std::cell::Cell::new(0);
+        let flaky = |p: &Path| {
+            opens.set(opens.get() + 1);
+            File::open(p).map(|inner| Hiccups { inner, calls: 0 })
+        };
+        let (_, cold) = ingest_path_via(&path, true, &pool, &tm, flaky).unwrap();
+        assert_eq!(cold.cache_fallback, Some(CacheFallback::Missing));
+        assert!(cold.io_retries > 0);
+        assert_eq!(opens.get(), 1, "a missing cache costs one read of the text");
+
+        let (_, streamed) = fingerprint_file(&path, flaky).unwrap();
+        assert!(streamed > 0);
+        opens.set(0);
+        let (_, warm) = ingest_path_via(&path, true, &pool, &tm, flaky).unwrap();
+        assert_eq!(warm.source, IngestSource::BinaryCache);
+        assert_eq!(warm.io_retries, streamed);
+        assert_eq!(opens.get(), 1, "a hit reads the text only to hash it");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -24,9 +24,10 @@ pub const SCENARIO_STAGE: &str = "scenario";
 pub const CAUSALITY_STAGE: &str = "causality";
 
 /// Modeled live-heap bytes per stream event for the indexing side of a
-/// scenario unit (thread buckets, unwait adjacency, effective ends —
-/// see `StreamIndex`'s `HeapSize` impl). Deliberately a generous upper
-/// bound: admission must never under-estimate.
+/// scenario unit (per-thread event ids and start times, wait/unwait
+/// pairs, effective ends: 24 bytes, plus a slot per thread — see
+/// `StreamIndex`'s `HeapSize` impl). Deliberately an upper bound:
+/// admission must never under-estimate.
 pub const INDEX_BYTES_PER_EVENT: u64 = 32;
 
 /// Modeled live-heap bytes per in-scope stream event for the wait

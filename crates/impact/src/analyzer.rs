@@ -249,7 +249,7 @@ impl ImpactAnalyzer {
                 }
                 NodeKind::Hardware => {}
             }
-            for &c in &node.children {
+            for &c in graph.children(id) {
                 todo.push((c, now_under));
             }
         }

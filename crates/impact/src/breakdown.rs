@@ -131,7 +131,7 @@ fn account(
             }
             NodeKind::Hardware => {}
         }
-        for &c in &node.children {
+        for &c in graph.children(id) {
             todo.push((c, false, now_under));
         }
     }

@@ -67,40 +67,110 @@ pub const HEADER_LEN: usize = 32;
 /// matters because every cached ingest fingerprints the full source
 /// text and every binary load checksums the full payload.
 pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    // Four independent lanes over interleaved words: FNV's multiply is a
-    // serial dependency chain, so striping lets the CPU overlap four
-    // multiplies instead of waiting on one.
-    let mut lanes = [OFFSET, OFFSET ^ 1, OFFSET ^ 2, OFFSET ^ 3];
+    let mut lanes = LANES;
+    let rest = fold_blocks(&mut lanes, bytes);
+    finish_lanes(lanes, rest, bytes.len() as u64)
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Four independent lanes over interleaved words: FNV's multiply is a
+/// serial dependency chain, so striping lets the CPU overlap four
+/// multiplies instead of waiting on one.
+const LANES: [u64; 4] = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
+
+/// Folds every whole 32-byte block of `bytes` into `lanes`, returning
+/// the bytes after the last whole block.
+fn fold_blocks<'b>(lanes: &mut [u64; 4], bytes: &'b [u8]) -> &'b [u8] {
     let mut blocks = bytes.chunks_exact(32);
     for block in &mut blocks {
         for (j, lane) in lanes.iter_mut().enumerate() {
             *lane ^= u64::from_le_bytes(block[j * 8..j * 8 + 8].try_into().expect("exact chunk"));
-            *lane = lane.wrapping_mul(PRIME);
+            *lane = lane.wrapping_mul(FNV_PRIME);
         }
     }
-    let mut h = OFFSET;
+    blocks.remainder()
+}
+
+/// Combines the lanes, then folds the final partial block (`rest`, under
+/// 32 bytes) word by word, and the total input length last.
+fn finish_lanes(lanes: [u64; 4], rest: &[u8], len: u64) -> u64 {
+    let mut h = FNV_OFFSET;
     for lane in lanes {
         h ^= lane;
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     }
-    let rem = blocks.remainder();
-    let mut words = rem.chunks_exact(8);
+    let mut words = rest.chunks_exact(8);
     for w in &mut words {
         h ^= u64::from_le_bytes(w.try_into().expect("exact chunk"));
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     let tail = words.remainder();
     if !tail.is_empty() {
         let mut last = [0u8; 8];
         last[..tail.len()].copy_from_slice(tail);
         h ^= u64::from_le_bytes(last);
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     // Length distinguishes inputs that differ only in trailing zeroes.
-    h ^= bytes.len() as u64;
-    h.wrapping_mul(PRIME)
+    h ^= len;
+    h.wrapping_mul(FNV_PRIME)
+}
+
+/// [`fingerprint_bytes`] computed incrementally: feeding a byte string
+/// in pieces of any sizes gives exactly the value of hashing it whole,
+/// so a file can be fingerprinted through a fixed buffer.
+#[derive(Debug, Clone)]
+pub struct Fingerprinter {
+    lanes: [u64; 4],
+    /// Bytes of an incomplete 32-byte block, waiting for more input.
+    pending: [u8; 32],
+    filled: usize,
+    len: u64,
+}
+
+impl Default for Fingerprinter {
+    fn default() -> Self {
+        Fingerprinter::new()
+    }
+}
+
+impl Fingerprinter {
+    /// A fingerprinter that has seen no bytes.
+    pub fn new() -> Fingerprinter {
+        Fingerprinter {
+            lanes: LANES,
+            pending: [0; 32],
+            filled: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends `bytes` to the input.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.filled > 0 {
+            let take = bytes.len().min(32 - self.filled);
+            self.pending[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 32 {
+                return;
+            }
+            let block = self.pending;
+            fold_blocks(&mut self.lanes, &block);
+            self.filled = 0;
+        }
+        let rest = fold_blocks(&mut self.lanes, bytes);
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    /// The fingerprint of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        finish_lanes(self.lanes, &self.pending[..self.filled], self.len)
+    }
 }
 
 /// Reads just the source fingerprint out of a `.tlb` header, without
@@ -726,6 +796,25 @@ mod tests {
         let (back, _) = Dataset::read_binary(&image).unwrap();
         assert_eq!(back.streams[0].events(), ds.streams[0].events());
         assert_eq!(back.streams[0].events()[1].stack, StackId(999));
+    }
+
+    #[test]
+    fn fingerprinter_matches_one_shot_hash_for_any_chunking() {
+        let bytes: Vec<u8> = (0..=300u32).map(|i| (i * 131 % 251) as u8).collect();
+        for len in 0..=300 {
+            let input = &bytes[..len];
+            let whole = fingerprint_bytes(input);
+            for chunk in [1, 3, 8, 31, 32, 33, 100] {
+                let mut f = Fingerprinter::new();
+                for piece in input.chunks(chunk) {
+                    f.update(piece);
+                }
+                assert_eq!(f.finish(), whole, "len {len}, chunks of {chunk}");
+            }
+        }
+        // Pinned values: the fingerprint is stored in every `.tlb` header.
+        assert_eq!(fingerprint_bytes(b""), 0xf1fc_e322_bc1d_af2f);
+        assert_eq!(fingerprint_bytes(&bytes), 0x66c6_69de_069d_9ac9);
     }
 
     #[test]

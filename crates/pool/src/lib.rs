@@ -25,7 +25,8 @@
 //!    workers borrow the items and the closure directly; no channels,
 //!    no `'static` bounds, no allocation per item beyond the result.
 //!
-//! Telemetry: a pool built [`Pool::with_telemetry`] reports
+//! Telemetry: a pool built [`Pool::with_telemetry`] reports, for
+//! plain and ordered batches alike,
 //! `pool.tasks` / `pool.batches` / `pool.steals` / `pool.parks`
 //! counters, a `pool.queue_depth` gauge and histogram (remaining items
 //! observed at each claim), a `pool.task_wait_ns` queue-wait histogram
@@ -117,9 +118,9 @@ impl Pool {
         }
     }
 
-    /// Attaches a telemetry handle; every subsequent [`Pool::map`] batch
-    /// then reports pool counters and per-worker busy-time histograms
-    /// through it.
+    /// Attaches a telemetry handle; every subsequent [`Pool::map`] and
+    /// [`Pool::map_ordered`] batch then reports pool counters, queue
+    /// depth and per-worker busy-time histograms through it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Pool {
         self.telemetry = telemetry;
         self
@@ -183,9 +184,7 @@ impl Pool {
             let (next, remaining, f, telemetry) = (&next, &remaining, &f, &self.telemetry);
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    // The fair-share chunk of worker `w` under static
-                    // partitioning; claims outside it are steals.
-                    let fair = (w * items.len() / workers, (w + 1) * items.len() / workers);
+                    let fair = fair_share(w, workers, items.len());
                     s.spawn(move || {
                         telemetry.bind_thread("worker", w as u32);
                         let _cx = context.map(|cx| telemetry.adopt(cx));
@@ -201,21 +200,7 @@ impl Pool {
                                     }
                                     break;
                                 }
-                                if telemetry.enabled() {
-                                    // Time between being ready for work
-                                    // and claiming it: queue wait.
-                                    let waited = ready.elapsed().as_nanos();
-                                    telemetry.record(
-                                        "pool.task_wait_ns",
-                                        u64::try_from(waited).unwrap_or(u64::MAX),
-                                    );
-                                    let depth = (items.len() - i) as u64;
-                                    telemetry.record("pool.queue_depth", depth);
-                                    telemetry.gauge("pool.queue_depth", depth as i64);
-                                    if i < fair.0 || i >= fair.1 {
-                                        telemetry.count("pool.steals", 1);
-                                    }
-                                }
+                                record_claim(telemetry, i, items.len(), fair, ready);
                                 local.push((i, f(i, &items[i])));
                                 ready = std::time::Instant::now();
                             }
@@ -312,15 +297,18 @@ impl Pool {
         std::thread::scope(|s| {
             for w in 0..workers {
                 let (f, next, lock, produced, freed) = (&f, &next, &lock, &produced, &freed);
+                let fair = fair_share(w, workers, items.len());
                 s.spawn(move || {
                     telemetry.bind_thread("worker", w as u32);
                     let _cx = context.map(|cx| telemetry.adopt(cx));
                     let started = std::time::Instant::now();
+                    let mut ready = started;
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
                         }
+                        record_claim(telemetry, i, items.len(), fair, ready);
                         let mut st = lock();
                         while i >= st.consumed + window && !st.stopped {
                             st = freed.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -353,6 +341,8 @@ impl Pool {
                             }
                             produced.notify_one();
                         }
+                        drop(st);
+                        ready = std::time::Instant::now();
                     }
                     if telemetry.enabled() {
                         telemetry.count("pool.parks", 1);
@@ -470,6 +460,38 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
+}
+
+/// The fair-share chunk of worker `w` under static partitioning of
+/// `len` items over `workers`; claims outside it are steals.
+fn fair_share(w: usize, workers: usize, len: usize) -> (usize, usize) {
+    (w * len / workers, (w + 1) * len / workers)
+}
+
+/// Telemetry of a worker claiming item `i` of `len`: the queue wait
+/// since it was `ready` for work, the remaining queue depth (gauge and
+/// histogram), and a steal when `i` lies outside its `fair` chunk.
+fn record_claim(
+    telemetry: &Telemetry,
+    i: usize,
+    len: usize,
+    fair: (usize, usize),
+    ready: std::time::Instant,
+) {
+    if !telemetry.enabled() {
+        return;
+    }
+    let waited = ready.elapsed().as_nanos();
+    telemetry.record(
+        "pool.task_wait_ns",
+        u64::try_from(waited).unwrap_or(u64::MAX),
+    );
+    let depth = (len - i) as u64;
+    telemetry.record("pool.queue_depth", depth);
+    telemetry.gauge("pool.queue_depth", depth as i64);
+    if i < fair.0 || i >= fair.1 {
+        telemetry.count("pool.steals", 1);
+    }
 }
 
 #[cfg(test)]
@@ -670,6 +692,41 @@ mod tests {
         // static fair-share chunk are counted as steals (possibly zero
         // on an unloaded machine, but the counter must exist).
         let _ = report.metrics.counters.get("pool.steals");
+    }
+
+    #[test]
+    fn map_ordered_reports_contention_metrics() {
+        use std::sync::atomic::AtomicBool;
+        use tracelens_obs::CollectingSink;
+        let (t, sink) = CollectingSink::telemetry();
+        let pool = Pool::new(2).with_telemetry(t);
+        // Item 0 finishes only after item 1, so another worker claims
+        // item 1 — whichever worker holds item 0, one of the two claims
+        // lies outside its fair-share chunk: a steal.
+        let second_done = AtomicBool::new(false);
+        let mut seen = Vec::new();
+        pool.map_ordered(
+            &[0u32, 1, 2, 3],
+            |i, &x| {
+                if i == 0 {
+                    while !second_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+                if i == 1 {
+                    second_done.store(true, Ordering::Release);
+                }
+                x
+            },
+            |_, x| seen.push(x),
+        );
+        assert_eq!(seen, [0, 1, 2, 3]);
+        let report = sink.report();
+        assert_eq!(report.metrics.histograms["pool.task_wait_ns"].n(), 4);
+        assert_eq!(report.metrics.histograms["pool.queue_depth"].n(), 4);
+        assert!(report.metrics.gauges.contains_key("pool.queue_depth"));
+        assert!(report.metrics.counters["pool.steals"] >= 1);
+        assert_eq!(report.metrics.counters["pool.parks"], 2);
     }
 
     /// Minimal recorder for the wait/wake protocol of `Pool::map`.

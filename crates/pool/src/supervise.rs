@@ -578,6 +578,43 @@ mod tests {
     }
 
     #[test]
+    fn supervised_map_ordered_reports_contention_metrics() {
+        use std::sync::atomic::AtomicBool;
+        use tracelens_obs::CollectingSink;
+        let _gate = batch_gate();
+        let (t, sink) = CollectingSink::telemetry();
+        let pool = Pool::new(2).with_telemetry(t);
+        // As in `map_ordered_reports_contention_metrics`: item 1 must be
+        // claimed while item 0 is running, which forces a steal.
+        let second_done = AtomicBool::new(false);
+        let mut seen = Vec::new();
+        let report = pool.supervised_map_ordered(
+            &[0u32, 1, 2, 3],
+            "test",
+            &SupervisePolicy::default(),
+            no_meta,
+            |i, &x| {
+                if i == 0 {
+                    while !second_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+                if i == 1 {
+                    second_done.store(true, Ordering::Release);
+                }
+                x
+            },
+            |_, x| seen.push(x),
+        );
+        assert!(report.is_clean());
+        assert_eq!(seen, [Some(0), Some(1), Some(2), Some(3)]);
+        let metrics = sink.report().metrics;
+        assert_eq!(metrics.histograms["pool.queue_depth"].n(), 4);
+        assert!(metrics.gauges.contains_key("pool.queue_depth"));
+        assert!(metrics.counters["pool.steals"] >= 1);
+    }
+
+    #[test]
     fn clean_batch_completes_everything() {
         let _gate = batch_gate();
         for jobs in [1, 4] {

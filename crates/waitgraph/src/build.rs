@@ -2,7 +2,6 @@
 
 use crate::graph::{Node, NodeId, NodeKind, WaitGraph};
 use crate::index::StreamIndex;
-use std::collections::HashSet;
 use tracelens_model::{EventId, EventKind, ScenarioInstance, TimeNs, TraceStream};
 
 /// Hard cap on wait-chain recursion depth; real propagation chains are
@@ -15,11 +14,12 @@ impl WaitGraph {
     ///
     /// Roots are the initiating thread's events overlapping the instance
     /// window `[t0, t1)`. Each wait event is paired with the earliest
-    /// unwait targeting its thread at or after the wait start; its
-    /// children are the signalling thread's events within the wait
-    /// interval, recursively. Wait events whose unwait is missing (e.g.
-    /// truncated traces) become [`NodeKind::UnpairedWait`] leaves with
-    /// their duration clipped to the enclosing interval.
+    /// unwait targeting its thread at or after the wait start (resolved
+    /// once per stream by the [`StreamIndex`]); its children are the
+    /// signalling thread's events within the wait interval, recursively.
+    /// Wait events whose unwait is missing (e.g. truncated traces)
+    /// become [`NodeKind::UnpairedWait`] leaves with their duration
+    /// clipped to the enclosing interval.
     pub fn build(
         stream: &TraceStream,
         index: &StreamIndex,
@@ -30,15 +30,16 @@ impl WaitGraph {
             stream,
             index,
             nodes: Vec::new(),
+            children: Vec::new(),
+            pending: Vec::new(),
+            path: Vec::new(),
         };
-        let mut roots = Vec::new();
-        let mut path = HashSet::new();
-        for id in index.thread_events_overlapping(stream, instance.tid, instance.t0, instance.t1) {
-            if let Some(n) = b.add_event(id, instance.t1, &mut path, 0) {
-                roots.push(n);
-            }
+        for &id in index.thread_events_overlapping(instance.tid, instance.t0, instance.t1) {
+            b.add_event(id, instance.t1);
         }
-        WaitGraph::from_parts(stream.id(), b.nodes, roots)
+        // Every nested level has moved its nodes out of `pending`, so
+        // what is left are the roots.
+        WaitGraph::from_parts(stream.id(), b.nodes, b.children, b.pending)
     }
 
     /// [`WaitGraph::build`] with telemetry: reports graph/node counters
@@ -67,98 +68,67 @@ struct Builder<'a> {
     stream: &'a TraceStream,
     index: &'a StreamIndex,
     nodes: Vec<Node>,
+    /// Finished child lists, each a contiguous run.
+    children: Vec<NodeId>,
+    /// Nodes of the levels under construction, innermost last.
+    pending: Vec<NodeId>,
+    /// Wait events on the current recursion path (cycle guard).
+    path: Vec<EventId>,
 }
 
 impl Builder<'_> {
+    /// Adds the node for event `id` to the innermost pending level,
+    /// recursing into wait chains. `clip_end` bounds unpaired-wait
+    /// durations.
+    fn add_event(&mut self, id: EventId, clip_end: TimeNs) {
+        let Some(&e) = self.stream.event(id) else {
+            return;
+        };
+        let leaf = |kind, duration| Node::leaf(id, kind, e.tid, e.stack, e.t, duration);
+        let node = match e.kind {
+            EventKind::Unwait => return,
+            EventKind::Running => self.push(leaf(NodeKind::Running, e.cost)),
+            EventKind::HardwareService => self.push(leaf(NodeKind::Hardware, e.cost)),
+            EventKind::Wait => {
+                let cyclic = self.path.len() >= MAX_DEPTH || self.path.contains(&id);
+                let paired = self.index.pair(id).filter(|_| !cyclic);
+                match paired.and_then(|u| Some((u, *self.stream.event(u)?))) {
+                    Some((u_id, u)) => {
+                        let kind = NodeKind::Wait {
+                            unwait: u_id,
+                            unwait_stack: u.stack,
+                            unwait_tid: u.tid,
+                        };
+                        // Reserve the node slot so parents precede children.
+                        let node = self.push(leaf(kind, e.t.saturating_span_to(u.t)));
+                        let level = self.pending.len();
+                        self.path.push(id);
+                        let index = self.index;
+                        for &child in index.thread_events_overlapping(u.tid, e.t, u.t) {
+                            self.add_event(child, u.t);
+                        }
+                        self.path.pop();
+                        let first = self.children.len();
+                        self.children.extend(self.pending.drain(level..));
+                        self.nodes[node.0 as usize].set_children(first, self.children.len());
+                        node
+                    }
+                    // Unpaired (or cyclic/over-deep): a leaf whose
+                    // duration is clipped to the enclosing interval.
+                    None => self.push(leaf(
+                        NodeKind::UnpairedWait,
+                        e.cost.max(e.t.saturating_span_to(clip_end)),
+                    )),
+                }
+            }
+        };
+        self.pending.push(node);
+    }
+
     fn push(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
         id
-    }
-
-    /// Adds the node for event `id`, recursing into wait chains.
-    /// `clip_end` bounds unpaired-wait durations; `path` holds the wait
-    /// events on the current recursion path (cycle guard).
-    fn add_event(
-        &mut self,
-        id: EventId,
-        clip_end: TimeNs,
-        path: &mut HashSet<EventId>,
-        depth: usize,
-    ) -> Option<NodeId> {
-        let e = *self.stream.event(id)?;
-        match e.kind {
-            EventKind::Unwait => None,
-            EventKind::Running => Some(self.push(Node {
-                event: id,
-                kind: NodeKind::Running,
-                tid: e.tid,
-                stack: e.stack,
-                t: e.t,
-                duration: e.cost,
-                children: Vec::new(),
-            })),
-            EventKind::HardwareService => Some(self.push(Node {
-                event: id,
-                kind: NodeKind::Hardware,
-                tid: e.tid,
-                stack: e.stack,
-                t: e.t,
-                duration: e.cost,
-                children: Vec::new(),
-            })),
-            EventKind::Wait => {
-                let pair = self.index.pair_unwait(self.stream, e.tid, e.t);
-                let cyclic = path.contains(&id) || depth >= MAX_DEPTH;
-                match pair {
-                    Some(u_id) if !cyclic => {
-                        let u = *self.stream.event(u_id).expect("paired event exists");
-                        let duration = e.t.saturating_span_to(u.t);
-                        // Reserve the node slot so parents precede children.
-                        let node_id = self.push(Node {
-                            event: id,
-                            kind: NodeKind::Wait {
-                                unwait: u_id,
-                                unwait_stack: u.stack,
-                                unwait_tid: u.tid,
-                            },
-                            tid: e.tid,
-                            stack: e.stack,
-                            t: e.t,
-                            duration,
-                            children: Vec::new(),
-                        });
-                        path.insert(id);
-                        let mut children = Vec::new();
-                        for cid in
-                            self.index
-                                .thread_events_overlapping(self.stream, u.tid, e.t, u.t)
-                        {
-                            if let Some(c) = self.add_event(cid, u.t, path, depth + 1) {
-                                children.push(c);
-                            }
-                        }
-                        path.remove(&id);
-                        self.nodes[node_id.0 as usize].children = children;
-                        Some(node_id)
-                    }
-                    _ => {
-                        // Unpaired (or cyclic/over-deep): a leaf whose
-                        // duration is clipped to the enclosing interval.
-                        let duration = e.cost.max(e.t.saturating_span_to(clip_end));
-                        Some(self.push(Node {
-                            event: id,
-                            kind: NodeKind::UnpairedWait,
-                            tid: e.tid,
-                            stack: e.stack,
-                            t: e.t,
-                            duration,
-                            children: Vec::new(),
-                        }))
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -196,15 +166,14 @@ mod tests {
         let idx = StreamIndex::new(&s);
         let wg = WaitGraph::build(&s, &idx, &instance(1, 0, 25));
         assert_eq!(wg.roots().len(), 3); // run, wait, run
-        let wait_root = wg
+        let wait_root = *wg
             .roots()
             .iter()
-            .map(|&r| wg.node(r))
-            .find(|n| n.kind.is_wait())
+            .find(|&&r| wg.node(r).kind.is_wait())
             .expect("wait root");
-        assert_eq!(wait_root.duration, TimeNs(10));
-        assert_eq!(wait_root.children.len(), 1);
-        let child = wg.node(wait_root.children[0]);
+        assert_eq!(wg.node(wait_root).duration, TimeNs(10));
+        assert_eq!(wg.children(wait_root).len(), 1);
+        let child = wg.node(wg.children(wait_root)[0]);
         assert_eq!(child.kind, NodeKind::Running);
         assert_eq!(child.tid, ThreadId(2));
     }
@@ -226,18 +195,17 @@ mod tests {
         let idx = StreamIndex::new(&s);
         let wg = WaitGraph::build(&s, &idx, &instance(1, 0, 40));
         assert_eq!(wg.roots().len(), 1);
-        let root = wg.node(wg.roots()[0]);
-        assert_eq!(root.duration, TimeNs(25)); // 10 → 35
-                                               // Children: T2's wait (recursing to T3) and T2's running event.
-        assert_eq!(root.children.len(), 2);
-        let nested_wait = root
-            .children
+        let root = wg.roots()[0];
+        assert_eq!(wg.node(root).duration, TimeNs(25)); // 10 → 35
+                                                        // Children: T2's wait (recursing to T3) and T2's running event.
+        assert_eq!(wg.children(root).len(), 2);
+        let nested_wait = *wg
+            .children(root)
             .iter()
-            .map(|&c| wg.node(c))
-            .find(|n| n.kind.is_wait())
+            .find(|&&c| wg.node(c).kind.is_wait())
             .expect("nested wait");
-        assert_eq!(nested_wait.duration, TimeNs(20)); // 10 → 30
-        let leaf = wg.node(nested_wait.children[0]);
+        assert_eq!(wg.node(nested_wait).duration, TimeNs(20)); // 10 → 30
+        let leaf = wg.node(wg.children(nested_wait)[0]);
         assert_eq!(leaf.tid, ThreadId(3));
         assert_eq!(leaf.duration, TimeNs(20));
     }
@@ -317,9 +285,9 @@ mod tests {
         let s = b.finish().unwrap();
         let idx = StreamIndex::new(&s);
         let wg = WaitGraph::build(&s, &idx, &instance(1, 0, 40));
-        let root = wg.node(wg.roots()[0]);
-        assert_eq!(root.children.len(), 1);
-        let hw = wg.node(root.children[0]);
+        let root = wg.roots()[0];
+        assert_eq!(wg.children(root).len(), 1);
+        let hw = wg.node(wg.children(root)[0]);
         assert_eq!(hw.kind, NodeKind::Hardware);
         assert_eq!(hw.duration, TimeNs(30));
     }

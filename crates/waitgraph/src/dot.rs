@@ -33,7 +33,7 @@ impl WaitGraph {
                 n.duration,
                 shape
             );
-            for &c in &n.children {
+            for &c in self.children(id) {
                 let _ = writeln!(out, "  n{} -> n{};", id.0, c.0);
             }
         }

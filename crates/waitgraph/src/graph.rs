@@ -43,8 +43,10 @@ impl NodeKind {
     }
 }
 
-/// One node: a tracing event plus its propagation children.
-#[derive(Debug, Clone)]
+/// One node: a tracing event, its timing, and where its children sit
+/// in the graph's child array ([`WaitGraph::children`]). A node owns no
+/// heap memory of its own.
+#[derive(Debug, Clone, Copy)]
 pub struct Node {
     /// The source event's id within its trace stream.
     pub event: EventId,
@@ -59,9 +61,39 @@ pub struct Node {
     /// Event duration; for wait nodes this is the *restored* duration
     /// (unwait timestamp minus wait timestamp).
     pub duration: TimeNs,
-    /// Children: nodes whose operations execute within this node's wait
-    /// interval (only wait nodes have children).
-    pub children: Vec<NodeId>,
+    /// Start of this node's run in the graph's child array.
+    first_child: u32,
+    /// Length of that run (only wait nodes have children).
+    child_count: u32,
+}
+
+impl Node {
+    /// A node with no children yet.
+    pub(crate) fn leaf(
+        event: EventId,
+        kind: NodeKind,
+        tid: ThreadId,
+        stack: StackId,
+        t: TimeNs,
+        duration: TimeNs,
+    ) -> Node {
+        Node {
+            event,
+            kind,
+            tid,
+            stack,
+            t,
+            duration,
+            first_child: 0,
+            child_count: 0,
+        }
+    }
+
+    /// Points the node at `children[first..end]` of its graph.
+    pub(crate) fn set_children(&mut self, first: usize, end: usize) {
+        self.first_child = first as u32;
+        self.child_count = (end - first) as u32;
+    }
 }
 
 /// A Wait Graph for a single scenario instance (Definition 1).
@@ -71,18 +103,28 @@ pub struct Node {
 /// The same source *event* may back multiple nodes (two waits can be
 /// signalled through the same thread), which is how cost propagation
 /// across instances manifests.
+///
+/// Every node's child list is a contiguous run of one flat array, so a
+/// graph is three allocations however many nodes it has.
 #[derive(Debug, Clone)]
 pub struct WaitGraph {
     trace: TraceId,
     nodes: Vec<Node>,
+    children: Vec<NodeId>,
     roots: Vec<NodeId>,
 }
 
 impl WaitGraph {
-    pub(crate) fn from_parts(trace: TraceId, nodes: Vec<Node>, roots: Vec<NodeId>) -> Self {
+    pub(crate) fn from_parts(
+        trace: TraceId,
+        nodes: Vec<Node>,
+        children: Vec<NodeId>,
+        roots: Vec<NodeId>,
+    ) -> Self {
         WaitGraph {
             trace,
             nodes,
+            children,
             roots,
         }
     }
@@ -104,6 +146,18 @@ impl WaitGraph {
     /// Panics if `id` does not belong to this graph.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0 as usize]
+    }
+
+    /// The children of node `id`: nodes whose operations execute within
+    /// its wait interval, in time order (empty unless it is a wait).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this graph.
+    pub fn children(&self, id: NodeId) -> &[NodeId] {
+        let node = self.node(id);
+        let start = node.first_child as usize;
+        &self.children[start..start + node.child_count as usize]
     }
 
     /// All nodes in creation order (parents before their children).
@@ -148,11 +202,11 @@ impl WaitGraph {
         };
         let mut path = vec![root];
         let mut cur = root;
-        loop {
-            let node = self.node(cur);
-            let Some(&next) = node.children.iter().max_by_key(|&&c| self.node(c).duration) else {
-                break;
-            };
+        while let Some(&next) = self
+            .children(cur)
+            .iter()
+            .max_by_key(|&&c| self.node(c).duration)
+        {
             path.push(next);
             cur = next;
         }
@@ -160,15 +214,10 @@ impl WaitGraph {
     }
 }
 
-impl tracelens_model::HeapSize for Node {
-    fn heap_size(&self) -> usize {
-        self.children.capacity() * std::mem::size_of::<NodeId>()
-    }
-}
-
 impl tracelens_model::HeapSize for WaitGraph {
     fn heap_size(&self) -> usize {
-        self.nodes.heap_size() + self.roots.capacity() * std::mem::size_of::<NodeId>()
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + (self.children.capacity() + self.roots.capacity()) * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -184,11 +233,32 @@ impl Iterator for Dfs<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let (depth, id) = self.stack.pop()?;
-        let node = self.graph.node(id);
-        for &c in node.children.iter().rev() {
+        for &c in self.graph.children(id).iter().rev() {
             self.stack.push((depth + 1, c));
         }
         Some((depth, id))
+    }
+}
+
+#[cfg(test)]
+impl WaitGraph {
+    /// A graph from nodes listed with their children.
+    pub(crate) fn from_lists(
+        trace: TraceId,
+        lists: Vec<(Node, Vec<NodeId>)>,
+        roots: Vec<NodeId>,
+    ) -> Self {
+        let mut children = Vec::new();
+        let nodes = lists
+            .into_iter()
+            .map(|(mut node, kids)| {
+                node.first_child = children.len() as u32;
+                node.child_count = kids.len() as u32;
+                children.extend(kids);
+                node
+            })
+            .collect();
+        WaitGraph::from_parts(trace, nodes, children, roots)
     }
 }
 
@@ -197,38 +267,50 @@ mod tests {
     use super::*;
     use tracelens_model::StackId;
 
-    fn leaf(event: u32, t: u64, dur: u64) -> Node {
-        Node {
-            event: EventId(event),
-            kind: NodeKind::Running,
-            tid: ThreadId(1),
-            stack: StackId(0),
-            t: TimeNs(t),
-            duration: TimeNs(dur),
-            children: Vec::new(),
-        }
+    fn leaf(event: u32, t: u64, dur: u64) -> (Node, Vec<NodeId>) {
+        let node = Node::leaf(
+            EventId(event),
+            NodeKind::Running,
+            ThreadId(1),
+            StackId(0),
+            TimeNs(t),
+            TimeNs(dur),
+        );
+        (node, Vec::new())
+    }
+
+    fn wait(event: u32, t: u64, dur: u64, children: Vec<NodeId>) -> (Node, Vec<NodeId>) {
+        let kind = NodeKind::Wait {
+            unwait: EventId(99),
+            unwait_stack: StackId(0),
+            unwait_tid: ThreadId(2),
+        };
+        let node = Node::leaf(
+            EventId(event),
+            kind,
+            ThreadId(1),
+            StackId(0),
+            TimeNs(t),
+            TimeNs(dur),
+        );
+        (node, children)
+    }
+
+    #[test]
+    fn node_is_compact() {
+        assert!(std::mem::size_of::<Node>() <= 56);
     }
 
     #[test]
     fn dfs_preorder() {
         // root wait -> [leaf a, leaf b]
-        let mut root = Node {
-            event: EventId(0),
-            kind: NodeKind::Wait {
-                unwait: EventId(9),
-                unwait_stack: StackId(0),
-                unwait_tid: ThreadId(2),
-            },
-            tid: ThreadId(1),
-            stack: StackId(0),
-            t: TimeNs(0),
-            duration: TimeNs(10),
-            children: vec![NodeId(1), NodeId(2)],
-        };
-        root.children = vec![NodeId(1), NodeId(2)];
-        let g = WaitGraph::from_parts(
+        let g = WaitGraph::from_lists(
             TraceId(0),
-            vec![root, leaf(1, 1, 2), leaf(2, 3, 2)],
+            vec![
+                wait(0, 0, 10, vec![NodeId(1), NodeId(2)]),
+                leaf(1, 1, 2),
+                leaf(2, 3, 2),
+            ],
             vec![NodeId(0)],
         );
         let order: Vec<(usize, u32)> = g.dfs().map(|(d, n)| (d, n.0)).collect();
@@ -237,31 +319,17 @@ mod tests {
         assert!(!g.is_empty());
         assert!(g.node(NodeId(0)).kind.is_wait());
         assert!(!g.node(NodeId(1)).kind.is_wait());
+        assert_eq!(g.children(NodeId(0)), [NodeId(1), NodeId(2)]);
+        assert!(g.children(NodeId(2)).is_empty());
     }
 
     #[test]
     fn empty_graph() {
-        let g = WaitGraph::from_parts(TraceId(3), Vec::new(), Vec::new());
+        let g = WaitGraph::from_parts(TraceId(3), Vec::new(), Vec::new(), Vec::new());
         assert!(g.is_empty());
         assert_eq!(g.dfs().count(), 0);
         assert_eq!(g.trace(), TraceId(3));
         assert!(g.dominant_path().is_empty());
-    }
-
-    fn wait(event: u32, t: u64, dur: u64, children: Vec<NodeId>) -> Node {
-        Node {
-            event: EventId(event),
-            kind: NodeKind::Wait {
-                unwait: EventId(99),
-                unwait_stack: StackId(0),
-                unwait_tid: ThreadId(2),
-            },
-            tid: ThreadId(1),
-            stack: StackId(0),
-            t: TimeNs(t),
-            duration: TimeNs(dur),
-            children,
-        }
     }
 
     #[test]
@@ -274,7 +342,7 @@ mod tests {
             wait(2, 10, 85, vec![NodeId(3)]),            // n2 ends 95
             leaf(3, 30, 60),                             // n3 ends 90
         ];
-        let g = WaitGraph::from_parts(TraceId(0), nodes, vec![NodeId(0)]);
+        let g = WaitGraph::from_lists(TraceId(0), nodes, vec![NodeId(0)]);
         let path: Vec<u32> = g.dominant_path().iter().map(|n| n.0).collect();
         assert_eq!(path, [0, 2, 3]);
     }
@@ -286,7 +354,7 @@ mod tests {
             wait(1, 20, 50, vec![]),
             leaf(2, 80, 100), // running roots are not chain starts
         ];
-        let g = WaitGraph::from_parts(TraceId(0), nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        let g = WaitGraph::from_lists(TraceId(0), nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(g.dominant_path(), vec![NodeId(1)]);
     }
 }

@@ -2,24 +2,38 @@
 //!
 //! A stream is shared by every scenario instance recorded in it, so the
 //! index is built once per stream and reused across instance graphs.
+//! Everything it keeps is a flat array: one hash lookup maps a thread
+//! id to its slot, and the slot to a contiguous run of event ids.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::size_of;
+use std::ops::Range;
 use tracelens_model::{EventId, EventKind, HeapSize, ThreadId, TimeNs, TraceStream};
+
+/// `pair` entry of events that have no paired unwait.
+const NO_PAIR: u32 = u32::MAX;
 
 /// Precomputed lookup structures over one [`TraceStream`]:
 ///
-/// * per-thread event lists (sorted by time) for wait-interval queries,
-/// * per-woken-thread unwait lists for wait/unwait pairing,
+/// * per-thread event lists (in stream order, so sorted by time on a
+///   valid stream) with their start times alongside, for wait-interval
+///   queries;
+/// * per-event wait/unwait pairs, resolved once here rather than per
+///   graph node;
 /// * per-event *effective ends*: for wait events the timestamp of the
 ///   paired unwait (their raw cost is zero until restored), for other
 ///   events `t + cost`.
 #[derive(Debug, Clone)]
 pub struct StreamIndex {
-    /// tid → events of that thread, in time order.
-    by_thread: HashMap<ThreadId, Vec<EventId>>,
-    /// woken tid → unwait events targeting it, in time order.
-    unwaits_for: HashMap<ThreadId, Vec<EventId>>,
-    /// event id → effective end timestamp.
+    /// Thread id → slot in `threads`.
+    slots: HashMap<ThreadId, u32, BuildHasherDefault<TidHasher>>,
+    /// Events of each thread.
+    threads: Lists,
+    /// Event id → paired unwait id ([`NO_PAIR`] for all but paired
+    /// waits).
+    pair: Vec<u32>,
+    /// Event id → effective end timestamp.
     effective_end: Vec<TimeNs>,
     /// Wait events with no pairable unwait (truncated or lossy traces).
     orphan_waits: usize,
@@ -31,49 +45,66 @@ pub struct StreamIndex {
 impl StreamIndex {
     /// Builds the index for `stream`.
     pub fn new(stream: &TraceStream) -> Self {
-        let mut by_thread: HashMap<ThreadId, Vec<EventId>> = HashMap::new();
-        let mut unwaits_for: HashMap<ThreadId, Vec<EventId>> = HashMap::new();
-        for (i, e) in stream.events().iter().enumerate() {
-            let id = EventId(i as u32);
-            by_thread.entry(e.tid).or_default().push(id);
-            if e.kind == EventKind::Unwait {
-                if let Some(w) = e.wtid {
-                    unwaits_for.entry(w).or_default().push(id);
-                }
-            }
-        }
-        let mut index = StreamIndex {
-            by_thread,
-            unwaits_for,
-            effective_end: Vec::with_capacity(stream.len()),
-            orphan_waits: 0,
-            stray_unwaits: 0,
-        };
-        let mut paired: HashSet<EventId> = HashSet::new();
+        let events = stream.events();
+        let mut slots = HashMap::default();
+        let mut by_thread = Vec::with_capacity(events.len());
+        let mut by_woken = Vec::new();
+        let mut waits = Vec::new();
+        let mut effective_end = Vec::with_capacity(events.len());
         let mut total_unwaits = 0usize;
-        for (i, e) in stream.events().iter().enumerate() {
-            if e.kind == EventKind::Unwait {
-                total_unwaits += 1;
-            }
-            let end = if e.kind == EventKind::Wait {
-                match index.pair_unwait(stream, e.tid, e.t) {
-                    Some(u) => {
-                        paired.insert(u);
-                        stream.event(u).map(|u| u.t).unwrap_or(e.end())
-                    }
-                    None => {
-                        index.orphan_waits += 1;
-                        e.end()
+        // Consecutive events often share a thread: reuse the last lookup.
+        let mut last: Option<(ThreadId, u32)> = None;
+        for (i, e) in events.iter().enumerate() {
+            let s = match last {
+                Some((tid, s)) if tid == e.tid => s,
+                _ => {
+                    let s = slot(&mut slots, e.tid);
+                    last = Some((e.tid, s));
+                    s
+                }
+            };
+            let entry = (s, EventId(i as u32), e.t);
+            by_thread.push(entry);
+            effective_end.push(e.end());
+            match e.kind {
+                EventKind::Wait => waits.push(entry),
+                EventKind::Unwait => {
+                    total_unwaits += 1;
+                    if let Some(w) = e.wtid {
+                        by_woken.push((slot(&mut slots, w), entry.1, e.t));
                     }
                 }
-            } else {
-                e.end()
-            };
-            debug_assert_eq!(index.effective_end.len(), i);
-            index.effective_end.push(end);
+                EventKind::Running | EventKind::HardwareService => {}
+            }
         }
-        index.stray_unwaits = total_unwaits - paired.len();
-        index
+        let threads = Lists::group(slots.len(), &by_thread);
+        // Unwaits by woken thread are only needed to pair each wait
+        // with the earliest unwait of its thread at or after its start.
+        let woken = Lists::group(slots.len(), &by_woken);
+
+        let mut pair = vec![NO_PAIR; events.len()];
+        let mut claimed = vec![false; woken.ids.len()];
+        let mut orphan_waits = 0usize;
+        for (s, id, t) in waits {
+            let range = woken.range(s);
+            let at = range.start + woken.times[range.clone()].partition_point(|&u| u < t);
+            if at < range.end {
+                pair[id.0 as usize] = woken.ids[at].0;
+                effective_end[id.0 as usize] = woken.times[at];
+                claimed[at] = true;
+            } else {
+                orphan_waits += 1;
+            }
+        }
+        let paired = claimed.iter().filter(|&&c| c).count();
+        StreamIndex {
+            slots,
+            threads,
+            pair,
+            effective_end,
+            orphan_waits,
+            stray_unwaits: total_unwaits - paired,
+        }
     }
 
     /// Wait events of this stream whose unwait is missing — the lossy
@@ -113,16 +144,14 @@ impl StreamIndex {
         index
     }
 
-    /// The earliest unwait event waking `tid` at or after `from`.
-    pub fn pair_unwait(
-        &self,
-        stream: &TraceStream,
-        tid: ThreadId,
-        from: TimeNs,
-    ) -> Option<EventId> {
-        let list = self.unwaits_for.get(&tid)?;
-        let lo = list.partition_point(|&id| stream.event(id).map(|e| e.t < from).unwrap_or(false));
-        list.get(lo).copied()
+    /// The unwait event paired with wait event `id`: the earliest
+    /// unwait waking the waiting thread at or after the wait start.
+    /// `None` for orphan waits, non-wait events and unknown ids.
+    pub fn pair(&self, id: EventId) -> Option<EventId> {
+        match self.pair.get(id.0 as usize) {
+            Some(&u) if u != NO_PAIR => Some(EventId(u)),
+            _ => None,
+        }
     }
 
     /// The effective end of an event: for wait events the paired unwait
@@ -141,41 +170,114 @@ impl StreamIndex {
     /// suspended thread emits nothing, sampled running events are
     /// sequential), so the events spanning `from` form a contiguous run
     /// directly before the first event starting at or after `from`.
-    pub fn thread_events_overlapping(
-        &self,
-        stream: &TraceStream,
-        tid: ThreadId,
-        from: TimeNs,
-        to: TimeNs,
-    ) -> Vec<EventId> {
-        let Some(list) = self.by_thread.get(&tid) else {
-            return Vec::new();
+    pub fn thread_events_overlapping(&self, tid: ThreadId, from: TimeNs, to: TimeNs) -> &[EventId] {
+        let Some(&slot) = self.slots.get(&tid) else {
+            return &[];
         };
-        let mut lo =
-            list.partition_point(|&id| stream.event(id).map(|e| e.t < from).unwrap_or(false));
+        let range = self.threads.range(slot);
+        let (ids, times) = (&self.threads.ids[range.clone()], &self.threads.times[range]);
+        let mut lo = times.partition_point(|&t| t < from);
         // Step back over events that start before `from` but spill into
         // the interval (e.g. a wait that is still pending at `from`).
-        while lo > 0 && self.effective_end(list[lo - 1]) > from {
+        while lo > 0 && self.effective_end(ids[lo - 1]) > from {
             lo -= 1;
         }
-        list[lo..]
-            .iter()
-            .copied()
-            .take_while(|&id| stream.event(id).map(|e| e.t < to).unwrap_or(false))
-            .collect()
+        let len = times[lo..].iter().take_while(|&&t| t < to).count();
+        &ids[lo..lo + len]
     }
 
-    /// Events of `tid` in time order (empty for unknown threads).
+    /// Events of `tid` in stream order (empty for unknown threads).
     pub fn thread_events(&self, tid: ThreadId) -> &[EventId] {
-        self.by_thread.get(&tid).map(Vec::as_slice).unwrap_or(&[])
+        match self.slots.get(&tid) {
+            Some(&slot) => &self.threads.ids[self.threads.range(slot)],
+            None => &[],
+        }
     }
 }
 
 impl HeapSize for StreamIndex {
     fn heap_size(&self) -> usize {
-        self.by_thread.heap_size() + self.unwaits_for.heap_size() + self.effective_end.heap_size()
+        // A hash slot holds a (ThreadId, u32) pair plus one control byte.
+        self.slots.capacity() * (size_of::<ThreadId>() + size_of::<u32>() + 1)
+            + self.threads.heap_size()
+            + self.pair.heap_size()
+            + self.effective_end.heap_size()
     }
 }
+
+/// The slot of `tid`, assigning the next free one on first sight.
+fn slot(slots: &mut HashMap<ThreadId, u32, BuildHasherDefault<TidHasher>>, tid: ThreadId) -> u32 {
+    let next = slots.len() as u32;
+    *slots.entry(tid).or_insert(next)
+}
+
+/// Event lists keyed by thread slot, in one flat array: slot `s` owns
+/// `ids[start[s]..start[s + 1]]`, with each event's start time at the
+/// same position in `times`, so a time search never touches the stream.
+#[derive(Debug, Clone)]
+struct Lists {
+    start: Vec<u32>,
+    ids: Vec<EventId>,
+    times: Vec<TimeNs>,
+}
+
+impl Lists {
+    /// Groups `(slot, event, start time)` entries by slot, keeping
+    /// their order within a slot (a counting sort).
+    fn group(slots: usize, entries: &[(u32, EventId, TimeNs)]) -> Lists {
+        let mut start = vec![0u32; slots + 1];
+        for &(s, _, _) in entries {
+            start[s as usize + 1] += 1;
+        }
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![EventId(0); entries.len()];
+        let mut times = vec![TimeNs::ZERO; entries.len()];
+        for &(s, id, t) in entries {
+            let at = next[s as usize] as usize;
+            next[s as usize] += 1;
+            ids[at] = id;
+            times[at] = t;
+        }
+        Lists { start, ids, times }
+    }
+
+    fn range(&self, slot: u32) -> Range<usize> {
+        self.start[slot as usize] as usize..self.start[slot as usize + 1] as usize
+    }
+}
+
+impl HeapSize for Lists {
+    fn heap_size(&self) -> usize {
+        self.start.heap_size() + self.ids.heap_size() + self.times.heap_size()
+    }
+}
+
+/// Multiplicative hash for thread ids: they are small integers hashed
+/// once per event while indexing, where SipHash would dominate.
+#[derive(Default)]
+struct TidHasher(u64);
+
+impl Hasher for TidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(TID_HASH_FACTOR);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(TID_HASH_FACTOR);
+    }
+}
+
+/// 2⁶⁴ / φ, odd: distinct small ids keep distinct low bits.
+const TID_HASH_FACTOR: u64 = 0x9E37_79B9_7F4A_7C15;
 
 #[cfg(test)]
 mod tests {
@@ -194,14 +296,35 @@ mod tests {
 
     #[test]
     fn pairing_finds_earliest_at_or_after() {
-        let s = stream();
+        // Thread 1 waits at 10 (woken at 15), at 16 (woken at 25) and at
+        // 26 (never woken); thread 3's wait has no unwait at all.
+        let mut b = TraceStreamBuilder::new(0);
+        b.push_wait(ThreadId(1), TimeNs(10), TimeNs::ZERO, StackId(0));
+        b.push_unwait(ThreadId(2), ThreadId(1), TimeNs(15), StackId(0));
+        b.push_wait(ThreadId(1), TimeNs(16), TimeNs::ZERO, StackId(0));
+        b.push_unwait(ThreadId(2), ThreadId(1), TimeNs(25), StackId(0));
+        b.push_wait(ThreadId(1), TimeNs(26), TimeNs::ZERO, StackId(0));
+        b.push_wait(ThreadId(3), TimeNs(0), TimeNs::ZERO, StackId(0));
+        let s = b.finish().unwrap();
         let idx = StreamIndex::new(&s);
-        let u = idx.pair_unwait(&s, ThreadId(1), TimeNs(10)).unwrap();
-        assert_eq!(s.event(u).unwrap().t, TimeNs(15));
-        let u2 = idx.pair_unwait(&s, ThreadId(1), TimeNs(16)).unwrap();
-        assert_eq!(s.event(u2).unwrap().t, TimeNs(25));
-        assert!(idx.pair_unwait(&s, ThreadId(1), TimeNs(26)).is_none());
-        assert!(idx.pair_unwait(&s, ThreadId(9), TimeNs(0)).is_none());
+        let paired_at = |t: u64| {
+            let (i, _) = s
+                .events()
+                .iter()
+                .enumerate()
+                .find(|(_, e)| e.kind == EventKind::Wait && e.t == TimeNs(t))
+                .unwrap();
+            idx.pair(EventId(i as u32)).map(|u| s.event(u).unwrap().t.0)
+        };
+        assert_eq!(paired_at(10), Some(15));
+        assert_eq!(paired_at(16), Some(25));
+        assert_eq!(paired_at(26), None);
+        assert_eq!(paired_at(0), None);
+        assert_eq!(idx.orphan_waits(), 2);
+        // Non-wait events and unknown ids have no pair.
+        let unwait = s.events().iter().position(|e| e.kind == EventKind::Unwait);
+        assert_eq!(idx.pair(EventId(unwait.unwrap() as u32)), None);
+        assert_eq!(idx.pair(EventId(999)), None);
     }
 
     #[test]
@@ -224,7 +347,7 @@ mod tests {
         let s = stream();
         let idx = StreamIndex::new(&s);
         // Thread 2's running event [5, 15) spans from=10.
-        let hits = idx.thread_events_overlapping(&s, ThreadId(2), TimeNs(10), TimeNs(15));
+        let hits = idx.thread_events_overlapping(ThreadId(2), TimeNs(10), TimeNs(15));
         let times: Vec<u64> = hits.iter().map(|&id| s.event(id).unwrap().t.0).collect();
         assert!(times.contains(&5), "spanning event included: {times:?}");
     }
@@ -238,7 +361,7 @@ mod tests {
         b.push_unwait(ThreadId(3), ThreadId(2), TimeNs(50), StackId(0));
         let s = b.finish().unwrap();
         let idx = StreamIndex::new(&s);
-        let hits = idx.thread_events_overlapping(&s, ThreadId(2), TimeNs(20), TimeNs(60));
+        let hits = idx.thread_events_overlapping(ThreadId(2), TimeNs(20), TimeNs(60));
         assert_eq!(hits.len(), 1);
         assert_eq!(s.event(hits[0]).unwrap().t, TimeNs(5));
     }
@@ -247,9 +370,9 @@ mod tests {
     fn overlap_excludes_disjoint() {
         let s = stream();
         let idx = StreamIndex::new(&s);
-        let hits = idx.thread_events_overlapping(&s, ThreadId(2), TimeNs(40), TimeNs(50));
+        let hits = idx.thread_events_overlapping(ThreadId(2), TimeNs(40), TimeNs(50));
         assert!(hits.is_empty());
-        let none = idx.thread_events_overlapping(&s, ThreadId(7), TimeNs(0), TimeNs(50));
+        let none = idx.thread_events_overlapping(ThreadId(7), TimeNs(0), TimeNs(50));
         assert!(none.is_empty());
     }
 

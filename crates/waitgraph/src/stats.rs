@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn empty_graph_stats_are_zero() {
-        let wg = crate::WaitGraph::from_parts(TraceId(0), Vec::new(), Vec::new());
+        let wg = crate::WaitGraph::from_parts(TraceId(0), Vec::new(), Vec::new(), Vec::new());
         assert_eq!(GraphStats::of(&wg), GraphStats::default());
     }
 }

@@ -42,12 +42,12 @@ fn every_wait_is_eventually_unwaited() {
     let ds = dataset();
     for stream in &ds.streams {
         let index = StreamIndex::new(stream);
-        for e in stream.events() {
+        for (i, e) in stream.events().iter().enumerate() {
             if e.kind == EventKind::Wait {
                 // Zero-duration waits (handoff at the same timestamp) are
                 // legal, so check the pairing itself rather than the span.
                 assert!(
-                    index.pair_unwait(stream, e.tid, e.t).is_some(),
+                    index.pair(tracelens::model::EventId(i as u32)).is_some(),
                     "wait at {} in {:?} never unwaited",
                     e.t,
                     stream.id()

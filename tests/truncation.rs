@@ -62,9 +62,9 @@ fn truncated_streams_contain_unpaired_waits() {
     let mut unpaired = 0usize;
     for stream in &cut.streams {
         let index = StreamIndex::new(stream);
-        for e in stream.events() {
+        for (i, e) in stream.events().iter().enumerate() {
             if e.kind == tracelens::model::EventKind::Wait
-                && index.pair_unwait(stream, e.tid, e.t).is_none()
+                && index.pair(tracelens::model::EventId(i as u32)).is_none()
             {
                 unpaired += 1;
             }
@@ -78,11 +78,11 @@ fn truncated_streams_contain_unpaired_waits() {
 fn mid_wait_cut(ds: &Dataset) -> TimeNs {
     for stream in &ds.streams {
         let index = StreamIndex::new(stream);
-        for e in stream.events() {
+        for (i, e) in stream.events().iter().enumerate() {
             if e.kind != tracelens::model::EventKind::Wait {
                 continue;
             }
-            if let Some(u) = index.pair_unwait(stream, e.tid, e.t) {
+            if let Some(u) = index.pair(tracelens::model::EventId(i as u32)) {
                 let tu = stream.event(u).expect("paired event exists").t;
                 if tu.0 > e.t.0 + 1 {
                     return TimeNs((e.t.0 + tu.0) / 2);
