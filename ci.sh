@@ -42,6 +42,26 @@ echo "== parallel equivalence (TRACELENS_JOBS=4) =="
 # the sequential run byte for byte.
 TRACELENS_JOBS=4 cargo test -q -p tracelens --test parallel_equivalence
 
+echo "== published results (docs/results) =="
+# Every output checked in under docs/results/ must be what its binary
+# prints today at the default configuration (600 traces, seed 2014).
+# abl_segment_k's last column (mine time) is wall-clock time, so that
+# file is compared with the column removed.
+RES_DIR="$(mktemp -d)"
+strip_time='s/ +[0-9.]+(ns|µs|ms|s)$//'
+for expected in docs/results/*.txt; do
+    bin="$(basename "$expected" .txt)"
+    "target/release/$bin" > "$RES_DIR/$bin.txt" 2> /dev/null
+    if [ "$bin" = abl_segment_k ]; then
+        sed -E "$strip_time" "$expected" > "$RES_DIR/expected.txt"
+        sed -E "$strip_time" "$RES_DIR/$bin.txt" > "$RES_DIR/actual.txt"
+        diff "$RES_DIR/expected.txt" "$RES_DIR/actual.txt"
+    else
+        diff "$expected" "$RES_DIR/$bin.txt"
+    fi
+done
+rm -rf "$RES_DIR"
+
 echo "== exp_scaling smoke (~30s budget) =="
 # Small corpus so the smoke run stays well under 30 seconds; writes to a
 # scratch path so the checked-in BENCH_pipeline.json is untouched.

@@ -45,7 +45,7 @@ fn main() {
         .with_factor(64);
 
     eprintln!("running ungoverned baseline study...");
-    let baseline = Study::run_supervised_traced(&ds, &StudyConfig::default(), &names, &telemetry)
+    let baseline = Study::run(&ds, &StudyConfig::default(), &names, &telemetry)
         .expect("baseline run completes");
     let baseline_ia = baseline.impact.ia_wait();
     eprintln!(
@@ -71,7 +71,7 @@ fn main() {
             .fold(f64::INFINITY, f64::min)
     };
     let plain_wall = best_of(&|| {
-        let _ = Study::run_supervised(&ds, &StudyConfig::default(), &names)
+        let _ = Study::run(&ds, &StudyConfig::default(), &names, &Telemetry::noop())
             .expect("plain supervised run");
     });
     let governed_cfg = StudyConfig {
@@ -79,8 +79,8 @@ fn main() {
         ..StudyConfig::default()
     };
     let governed_wall = best_of(&|| {
-        let study =
-            Study::run_governed(&ds, &governed_cfg, &names).expect("unconstrained governed run");
+        let study = Study::run(&ds, &governed_cfg, &names, &Telemetry::noop())
+            .expect("unconstrained governed run");
         assert_eq!(study.governance.constrained(), 0, "budget must not bind");
     });
     let overhead = governed_wall / plain_wall - 1.0;
@@ -137,8 +137,8 @@ fn main() {
                 mem_faults: Some(pressure),
                 ..StudyConfig::default()
             };
-            let study = Study::run_governed_traced(&ds, &cfg, &names, &telemetry)
-                .expect("governed run always completes");
+            let study =
+                Study::run(&ds, &cfg, &names, &telemetry).expect("governed run always completes");
             let gov = &study.governance;
             assert_eq!(
                 gov.admitted + gov.queued + gov.degraded + gov.shed,

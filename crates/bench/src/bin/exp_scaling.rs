@@ -96,7 +96,7 @@ fn main() {
             ..StudyConfig::default()
         };
         let t0 = Instant::now();
-        let study = Study::run_traced(&ds, &config, &names, &telemetry);
+        let study = Study::run(&ds, &config, &names, &telemetry).expect("study runs");
         let wall_s = t0.elapsed().as_secs_f64();
         let md = tracelens::render_markdown(&study, &ds, &tracelens::ReportOptions::default());
         let report_identical = match &baseline_md {

@@ -2,8 +2,8 @@
 //!
 //! `BENCH_pipeline.json` shows the study pipeline barely speeding up
 //! from 1 to 8 jobs. This experiment answers *why* with the pipeline's
-//! own instruments: every job count runs through
-//! `Study::run_self_traced`, the recordings are lowered into the
+//! own instruments: every job count runs `Study::run` with a
+//! `SelfTraceSink` attached, the recordings are lowered into the
 //! paper's event shape, and the per-session wait accounting attributes
 //! the lost wall time to pool queue waits, recorder-lock contention,
 //! join-barrier idling, or the busy-time inflation that is the
@@ -68,9 +68,11 @@ fn main() {
             jobs,
             ..StudyConfig::default()
         };
+        let sink = SelfTraceSink::new();
         let t0 = Instant::now();
-        let (study, recording) = Study::run_self_traced(&ds, &config, &names);
+        let study = Study::run(&ds, &config, &names, &sink.telemetry()).expect("study runs");
         let wall_s = t0.elapsed().as_secs_f64();
+        let recording = sink.recording();
         let md = tracelens::render_markdown(&study, &ds, &tracelens::ReportOptions::default());
         let report_identical = match &baseline_md {
             None => {

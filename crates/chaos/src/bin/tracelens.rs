@@ -238,28 +238,25 @@ fn read_dataset(path: &str, opts: &Opts) -> Result<(Dataset, IngestReport), Stri
 /// * neither — warn on stderr and proceed on the raw data (historical
 ///   behavior; analyses tolerate semantic corruption but may undercount).
 fn load(path: &str, opts: &Opts) -> Result<Dataset, String> {
+    let ds = read_checked(path, opts)?;
+    if !opts.has("sanitize") {
+        return Ok(ds);
+    }
+    let (clean, report) = ds.sanitize();
+    report_sanitize(&report);
+    Ok(clean)
+}
+
+/// Reads `path` and applies `--strict` or the validation warning; with
+/// `--sanitize` the raw data set is returned for the caller to sanitize.
+fn read_checked(path: &str, opts: &Opts) -> Result<Dataset, String> {
     if opts.has("strict") && opts.has("sanitize") {
         return Err("--strict and --sanitize are mutually exclusive".to_owned());
     }
     let (ds, ingest) = read_dataset(path, opts)?;
     report_ingest(path, &ingest);
     if opts.has("sanitize") {
-        let (clean, mut report) = ds.sanitize();
-        report.io_retries = ingest.io_retries;
-        report.cache_fallbacks = ingest.cache_fallback.is_some() as usize;
-        if report.is_clean() {
-            eprintln!("sanitize: input is clean");
-        } else {
-            eprintln!(
-                "sanitize: {} repairs, {} traces / {} instances quarantined \
-                 (instance coverage {:.1}%)",
-                report.repaired(),
-                report.quarantined_traces,
-                report.quarantined_instances,
-                report.instance_coverage() * 100.0
-            );
-        }
-        return Ok(clean);
+        return Ok(ds);
     }
     if let Err(e) = ds.validate() {
         if opts.has("strict") {
@@ -268,6 +265,24 @@ fn load(path: &str, opts: &Opts) -> Result<Dataset, String> {
         eprintln!("warning: {e}");
     }
     Ok(ds)
+}
+
+/// Summarizes on stderr what sanitization repaired and quarantined.
+/// Transport trouble (I/O retries, cache fallbacks) is narrated by
+/// [`report_ingest`] and never makes an input unclean.
+fn report_sanitize(report: &SanitizeReport) {
+    if report.is_clean() {
+        eprintln!("sanitize: input is clean");
+    } else {
+        eprintln!(
+            "sanitize: {} repairs, {} traces / {} instances quarantined \
+             (instance coverage {:.1}%)",
+            report.repaired(),
+            report.quarantined_traces,
+            report.quarantined_instances,
+            report.instance_coverage() * 100.0
+        );
+    }
 }
 
 /// Narrates the ingest path on stderr: absorbed I/O retries, cache
@@ -689,6 +704,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let config = StudyConfig {
         jobs,
+        sanitize: opts.has("sanitize"),
         supervise: SupervisePolicy::from_knobs(deadline_ms, max_retries),
         exec_faults,
         checkpoint: opts.value("checkpoint").map(std::path::PathBuf::from),
@@ -699,36 +715,12 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     // With --sanitize the study itself runs the sanitize pass so the
     // report carries the Coverage section and an empty survivor set
     // surfaces as a typed error instead of an all-zero report.
-    let (ds, study) = if opts.has("sanitize") {
-        if opts.has("strict") {
-            return Err("--strict and --sanitize are mutually exclusive".to_owned());
-        }
-        let (ds, ingest) = read_dataset(path, &opts)?;
-        report_ingest(path, &ingest);
-        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-        let (study, mut report) =
-            Study::run_sanitized_supervised(&ds, &config, &names).map_err(|e| e.to_string())?;
-        report.io_retries = ingest.io_retries;
-        report.cache_fallbacks = ingest.cache_fallback.is_some() as usize;
-        if report.is_clean() {
-            eprintln!("sanitize: input is clean");
-        } else {
-            eprintln!(
-                "sanitize: {} repairs, {} traces / {} instances quarantined \
-                 (instance coverage {:.1}%)",
-                report.repaired(),
-                report.quarantined_traces,
-                report.quarantined_instances,
-                report.instance_coverage() * 100.0
-            );
-        }
-        (ds, study)
-    } else {
-        let ds = load(path, &opts)?;
-        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-        let study = Study::run_governed(&ds, &config, &names).map_err(|e| e.to_string())?;
-        (ds, study)
-    };
+    let ds = read_checked(path, &opts)?;
+    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+    let study = Study::run(&ds, &config, &names, &Telemetry::noop()).map_err(|e| e.to_string())?;
+    if let Some(report) = &study.sanitize {
+        report_sanitize(report);
+    }
     if study.governance.is_governed() {
         eprintln!("{}", study.governance);
     }
@@ -781,8 +773,12 @@ fn cmd_self_report(args: &[String]) -> Result<(), String> {
         ..StudyConfig::default()
     };
 
-    let (_study, recording) = Study::run_self_traced(&ds, &config, &names);
-    let sessions = vec![SelfTraceSession::new(format!("jobs={jobs}"), recording)];
+    let sink = SelfTraceSink::new();
+    Study::run(&ds, &config, &names, &sink.telemetry()).map_err(|e| e.to_string())?;
+    let sessions = vec![SelfTraceSession::new(
+        format!("jobs={jobs}"),
+        sink.recording(),
+    )];
     let observation = SelfObservation::analyze(&sessions);
     let md = observation.to_markdown();
     match opts.value("o") {
@@ -814,9 +810,9 @@ fn cmd_self_report(args: &[String]) -> Result<(), String> {
             (0..RUNS)
                 .map(|_| {
                     let start = std::time::Instant::now();
-                    let study = Study::run_traced(&ds, &config, &names, telemetry);
+                    let study = Study::run(&ds, &config, &names, telemetry);
                     let elapsed = start.elapsed().as_nanos() as u64;
-                    assert!(!study.scenarios.is_empty());
+                    assert!(study.is_ok_and(|s| !s.scenarios.is_empty()));
                     elapsed
                 })
                 .min()

@@ -81,7 +81,8 @@ pub struct RunArtifacts {
     pub cache: Option<Result<(), String>>,
     /// Torn checkpoint: resumed report equals the fresh report.
     pub resume: Option<Result<(), String>>,
-    /// Supervised/governed-unlimited run equals the plain run.
+    /// Supervised/governed-unlimited run equals a jobs=1 default-config
+    /// run.
     pub baseline: Option<Result<(), String>>,
 }
 
@@ -191,6 +192,7 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
         .then(|| ScratchDir::new(cfg, "ckpt"));
     let config = StudyConfig {
         jobs: 1,
+        sanitize: cfg.corruption_active(),
         supervise: SupervisePolicy::from_knobs(0, 1),
         exec_faults: cfg.exec_plan(),
         checkpoint: ckpt_dir.as_ref().map(|d| d.path().to_path_buf()),
@@ -199,7 +201,7 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
         ..StudyConfig::default()
     };
 
-    let study = match run_study(&study_input, &config, &names, cfg.corruption_active()) {
+    let study = match Study::run(&study_input, &config, &names, &noop) {
         Ok(study) => study,
         Err(e) => {
             // A typed study error (e.g. every instance quarantined) is
@@ -234,23 +236,6 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
 
     art.markdown = Some(markdown);
     art
-}
-
-/// Runs the study through the entry point the config calls for:
-/// sanitizing first when the corpus is corrupt.
-fn run_study(
-    input: &Dataset,
-    config: &StudyConfig,
-    names: &[ScenarioName],
-    sanitize: bool,
-) -> Result<Study, String> {
-    if sanitize {
-        Study::run_sanitized_supervised(input, config, names)
-            .map(|(study, _report)| study)
-            .map_err(|e| e.to_string())
-    } else {
-        Study::run_supervised(input, config, names).map_err(|e| e.to_string())
-    }
 }
 
 fn snapshot(study: &Study) -> CoverageNumbers {
@@ -371,7 +356,7 @@ fn check_torn_resume(
             .expect("open unit for tearing");
         handle.set_len(cut).expect("tear unit");
     }
-    let resumed = run_study(input, config, names, cfg.corruption_active())
+    let resumed = Study::run(input, config, names, &Telemetry::noop())
         .map_err(|e| format!("resume over a torn checkpoint refused: {e}"))?;
     let markdown = render_markdown(&resumed, input, &ReportOptions::default());
     if markdown != fresh_markdown {
@@ -380,9 +365,9 @@ fn check_torn_resume(
     Ok(())
 }
 
-/// Baseline oracle (exec plane inactive): supervision with no exec
-/// faults — and governance with an unlimited budget — must be
-/// invisible in the report.
+/// Baseline oracle (exec plane inactive): the supervision policy, the
+/// checkpoint and an unlimited governance budget must be invisible in
+/// the report — it equals a jobs=1 default-config run.
 fn check_baseline(
     cfg: &ChaosConfig,
     input: &Dataset,
@@ -400,7 +385,7 @@ fn check_baseline(
             checkpoint: None,
             ..config.clone()
         };
-        let study = run_study(input, &unlimited, names, cfg.corruption_active())
+        let study = Study::run(input, &unlimited, names, &Telemetry::noop())
             .map_err(|e| format!("unlimited-budget run refused: {e}"))?;
         supervised_markdown = render_markdown(&study, input, &ReportOptions::default());
         supervised_markdown.as_str()
@@ -408,22 +393,19 @@ fn check_baseline(
         primary_markdown
     };
 
-    let plain_config = StudyConfig {
+    let reference_config = StudyConfig {
         jobs: 1,
         components: config.components.clone(),
         causality: config.causality.clone(),
+        sanitize: config.sanitize,
         ..StudyConfig::default()
     };
-    let plain_markdown = if cfg.corruption_active() {
-        let (study, _report) = Study::run_sanitized(input, &plain_config, names);
-        render_markdown(&study, input, &ReportOptions::default())
-    } else {
-        let study = Study::run(input, &plain_config, names);
-        render_markdown(&study, input, &ReportOptions::default())
-    };
-    if supervised != plain_markdown {
+    let reference = Study::run(input, &reference_config, names, &Telemetry::noop())
+        .map_err(|e| format!("jobs=1 default-config run refused: {e}"))?;
+    if supervised != render_markdown(&reference, input, &ReportOptions::default()) {
         return Err(
-            "supervised/governed-unlimited report differs from the plain report".to_owned(),
+            "supervised/governed-unlimited report differs from the jobs=1 default-config report"
+                .to_owned(),
         );
     }
     Ok(())

@@ -161,6 +161,11 @@ fn parse_meta(text: &str) -> Option<u64> {
 /// Fingerprint of everything a checkpoint's results depend on: the
 /// dataset's canonical text, the analysis configuration, and the
 /// ordered scenario list.
+///
+/// `dataset` is the data set the study analyzes: with
+/// [`StudyConfig::sanitize`] set, the sanitized survivor. The flag
+/// itself is not hashed, so checkpoints of earlier sanitizing runs
+/// stay valid.
 pub fn fingerprint(dataset: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> u64 {
     let mut hasher = FnvWriter::new();
     // write_text to an in-memory hasher cannot fail.

@@ -11,8 +11,8 @@
 //! AWG node ids depend on insertion order, so graphs reach the
 //! aggregators in stream-position order, data set order within a stream
 //! — the order of `CausalityAnalysis::analyze`. Stream results are
-//! consumed in that order through [`Pool::map_ordered`], which also
-//! bounds how many streams' graphs are alive at once.
+//! consumed in that order through [`Pool::supervised_map_ordered`],
+//! which also bounds how many streams' graphs are alive at once.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
@@ -38,11 +38,14 @@ type StreamOutput<'d> = (
 
 /// How the pass runs its per-stream units.
 pub(crate) enum Supervision<'a> {
-    /// Plain [`Pool::map_ordered`]: a panic aborts the study.
-    None,
-    /// [`Pool::supervised_map_ordered`]: a failing `stream:<id>` unit
-    /// (stage `impact`) is quarantined; `faults` arms injected ones.
+    /// A plain loop on the calling thread, for a scenario unit's
+    /// rebuild: a panic propagates to the unit's own supervisor.
+    Inline,
+    /// [`Pool::supervised_map_ordered`] on `pool`: a failing
+    /// `stream:<id>` unit (stage `impact`) is quarantined; `faults` arms
+    /// injected ones.
     Units {
+        pool: &'a Pool,
         policy: &'a SupervisePolicy,
         faults: Option<ExecFaultPlan>,
     },
@@ -71,10 +74,10 @@ impl<'d> Pass<'d> {
         causality: &CausalityAnalysis,
         keep: impl Fn(&ScenarioInstance) -> bool,
         aggregate: &[ScenarioName],
-        pool: &Pool,
+        telemetry: &Telemetry,
         supervision: Supervision<'_>,
     ) -> (Pass<'d>, ExecutionReport) {
-        let _span = pool.telemetry().span(stage::WAITGRAPH);
+        let _span = telemetry.span(stage::WAITGRAPH);
         let mut fed: BTreeSet<ScenarioName> = aggregate
             .iter()
             .filter(|n| dataset.scenario(n).is_some())
@@ -132,15 +135,17 @@ impl<'d> Pass<'d> {
             None => quarantined.extend(groups[unit].instances.iter().map(|i| i.scenario)),
         };
         let execution = match supervision {
-            Supervision::None => {
-                pool.map_ordered(
-                    &groups,
-                    |_, g| work(g),
-                    |unit, out| consume(unit, Some(out)),
-                );
+            Supervision::Inline => {
+                for (unit, g) in groups.iter().enumerate() {
+                    consume(unit, Some(work(g)));
+                }
                 ExecutionReport::default()
             }
-            Supervision::Units { policy, faults } => pool.supervised_map_ordered(
+            Supervision::Units {
+                pool,
+                policy,
+                faults,
+            } => pool.supervised_map_ordered(
                 &groups,
                 stage::IMPACT,
                 policy,
@@ -204,7 +209,6 @@ pub(crate) fn scenario_unit<'d>(
             } else {
                 &[]
             };
-            let pool = Pool::sequential().with_telemetry(telemetry.clone());
             let keep = |i: &ScenarioInstance| i.scenario == *name;
             rebuilt = Pass::run(
                 dataset,
@@ -212,8 +216,8 @@ pub(crate) fn scenario_unit<'d>(
                 causality,
                 keep,
                 aggregate,
-                &pool,
-                Supervision::None,
+                telemetry,
+                Supervision::Inline,
             );
             &rebuilt.0
         }

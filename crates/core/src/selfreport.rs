@@ -228,8 +228,10 @@ mod tests {
             jobs,
             ..StudyConfig::default()
         };
-        let (_study, recording) = Study::run_self_traced(&ds, &config, &names);
-        SelfObservation::analyze(&[SelfTraceSession::new(format!("jobs={jobs}"), recording)])
+        let sink = tracelens_selftrace::SelfTraceSink::new();
+        Study::run(&ds, &config, &names, &sink.telemetry()).expect("study runs");
+        let session = SelfTraceSession::new(format!("jobs={jobs}"), sink.recording());
+        SelfObservation::analyze(&[session])
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Golden gate: the full study output over two small corpora is pinned
 //! to checked-in files under `tests/golden/`.
 //!
-//! Every entry point — `Study::run`, `Study::run_supervised` (plus a
-//! checkpointed resume) and `Study::run_governed` with an unlimited
-//! budget — must reproduce the golden snapshot at jobs 1, 2 and 8. An
-//! execution-faulted run and a memory-governed run pin the fault and
-//! degrade paths, execution report included.
+//! `Study::run` with the default configuration, with sanitization on
+//! (a no-op over clean input), and checkpointed (storing, then
+//! restoring every unit) must reproduce the golden snapshot at jobs 1,
+//! 2 and 8. An execution-faulted run and a memory-governed run pin the
+//! fault and degrade paths, execution report included.
 //!
 //! A snapshot is the rendered Markdown report followed by every number
 //! the report summarizes: all `ImpactReport` fields, the class counts,
@@ -40,6 +40,10 @@ fn config(jobs: usize) -> StudyConfig {
     }
 }
 
+fn run(ds: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> Study {
+    Study::run(ds, config, names, &Telemetry::noop()).expect("study runs")
+}
+
 /// A fresh checkpoint directory, unique per call within this process.
 fn scratch_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -59,8 +63,8 @@ fn digest(text: &str) -> u64 {
 
 /// The Markdown report plus the raw numbers behind it. With
 /// `execution` set, the supervised execution account is appended too
-/// (clean runs leave it out: restored and unsupervised runs account
-/// their units differently while rendering the same report).
+/// (clean runs leave it out: restored and computed runs account their
+/// units differently while rendering the same report).
 fn snapshot(study: &Study, ds: &Dataset, execution: bool) -> String {
     let mut out = tracelens::render_markdown(study, ds, &tracelens::ReportOptions::default());
     let _ = writeln!(out, "\n## Raw results\n");
@@ -130,32 +134,31 @@ fn check_golden(name: &str, actual: &str) {
     }
 }
 
-/// Every clean entry point at every job count renders the golden
+/// Every clean configuration at every job count renders the golden
 /// snapshot `name`.
 fn clean_entry_points_match(name: &str, mix: ScenarioMix) {
     let ds = dataset(mix);
     let names = names_of(&ds);
-    let golden = snapshot(&Study::run(&ds, &config(1), &names), &ds, false);
+    let golden = snapshot(&run(&ds, &config(1), &names), &ds, false);
     check_golden(name, &golden);
     for jobs in JOBS {
         let cfg = config(jobs);
-        let plain = Study::run(&ds, &cfg, &names);
+        let plain = run(&ds, &cfg, &names);
+        assert!(plain.execution.is_clean(), "jobs={jobs}");
+        assert!(!plain.governance.is_governed(), "jobs={jobs}");
         assert_eq!(snapshot(&plain, &ds, false), golden, "run, jobs={jobs}");
 
-        let supervised = Study::run_supervised(&ds, &cfg, &names).unwrap();
-        assert!(supervised.execution.is_clean(), "jobs={jobs}");
+        let sanitizing = StudyConfig {
+            sanitize: true,
+            ..cfg.clone()
+        };
+        let sanitized = run(&ds, &sanitizing, &names);
+        let report = sanitized.sanitize.as_ref().expect("sanitize report");
+        assert!(report.is_clean(), "jobs={jobs}");
         assert_eq!(
-            snapshot(&supervised, &ds, false),
+            snapshot(&sanitized, &ds, false),
             golden,
-            "run_supervised, jobs={jobs}"
-        );
-
-        let governed = Study::run_governed(&ds, &cfg, &names).unwrap();
-        assert!(!governed.governance.is_governed());
-        assert_eq!(
-            snapshot(&governed, &ds, false),
-            golden,
-            "run_governed, jobs={jobs}"
+            "sanitized, jobs={jobs}"
         );
 
         // A checkpointed run stores every unit; a second run over the
@@ -165,13 +168,13 @@ fn clean_entry_points_match(name: &str, mix: ScenarioMix) {
             checkpoint: Some(dir.clone()),
             ..cfg.clone()
         };
-        let first = Study::run_supervised(&ds, &ckpt, &names).unwrap();
+        let first = run(&ds, &ckpt, &names);
         assert_eq!(
             snapshot(&first, &ds, false),
             golden,
             "checkpointed, jobs={jobs}"
         );
-        let resumed = Study::run_supervised(&ds, &ckpt, &names).unwrap();
+        let resumed = run(&ds, &ckpt, &names);
         assert_eq!(resumed.execution.restored, resumed.execution.units);
         assert_eq!(
             snapshot(&resumed, &ds, false),
@@ -206,16 +209,9 @@ fn exec_faulted_run_matches_golden_and_resumes_clean() {
         checkpoint,
         ..config(jobs)
     };
-    let golden = snapshot(
-        &Study::run_supervised(&ds, &faulted(1, None), &names).unwrap(),
-        &ds,
-        true,
-    );
+    let golden = snapshot(&run(&ds, &faulted(1, None), &names), &ds, true);
     check_golden("selected_40_faulted", &golden);
-    let failures = Study::run_supervised(&ds, &faulted(1, None), &names)
-        .unwrap()
-        .execution
-        .failures;
+    let failures = run(&ds, &faulted(1, None), &names).execution.failures;
     assert!(
         failures.iter().any(|f| f.unit.starts_with("stream:")),
         "the plan must quarantine an impact-pass stream unit"
@@ -224,13 +220,17 @@ fn exec_faulted_run_matches_golden_and_resumes_clean() {
         failures.iter().any(|f| f.unit.starts_with("scenario:")),
         "the plan must quarantine a scenario unit"
     );
-    let clean = snapshot(&Study::run(&ds, &config(1), &names), &ds, false);
+    let clean = snapshot(&run(&ds, &config(1), &names), &ds, false);
     for jobs in JOBS {
-        let run = Study::run_supervised(&ds, &faulted(jobs, None), &names).unwrap();
-        assert_eq!(snapshot(&run, &ds, true), golden, "faulted, jobs={jobs}");
+        let faulted_run = run(&ds, &faulted(jobs, None), &names);
+        assert_eq!(
+            snapshot(&faulted_run, &ds, true),
+            golden,
+            "faulted, jobs={jobs}"
+        );
 
         let dir = scratch_dir("faulted");
-        let first = Study::run_supervised(&ds, &faulted(jobs, Some(dir.clone())), &names).unwrap();
+        let first = run(&ds, &faulted(jobs, Some(dir.clone())), &names);
         assert_eq!(
             snapshot(&first, &ds, true),
             golden,
@@ -240,7 +240,7 @@ fn exec_faulted_run_matches_golden_and_resumes_clean() {
             checkpoint: Some(dir.clone()),
             ..config(jobs)
         };
-        let resumed = Study::run_supervised(&ds, &resume, &names).unwrap();
+        let resumed = run(&ds, &resume, &names);
         assert!(resumed.execution.restored > 0, "jobs={jobs}");
         assert!(resumed.execution.failures.is_empty(), "jobs={jobs}");
         assert_eq!(
@@ -263,15 +263,15 @@ fn governed_degrade_run_matches_golden() {
         mem_faults: Some(MemFaultPlan::new(3).with_rate(0.5).with_factor(64)),
         ..config(jobs)
     };
-    let golden = snapshot(
-        &Study::run_governed(&ds, &governed(1), &names).unwrap(),
-        &ds,
-        true,
-    );
+    let golden = snapshot(&run(&ds, &governed(1), &names), &ds, true);
     check_golden("selected_40_degraded", &golden);
     for jobs in JOBS {
-        let run = Study::run_governed(&ds, &governed(jobs), &names).unwrap();
-        assert!(run.governance.degraded > 0, "jobs={jobs}");
-        assert_eq!(snapshot(&run, &ds, true), golden, "degraded, jobs={jobs}");
+        let degraded = run(&ds, &governed(jobs), &names);
+        assert!(degraded.governance.degraded > 0, "jobs={jobs}");
+        assert_eq!(
+            snapshot(&degraded, &ds, true),
+            golden,
+            "degraded, jobs={jobs}"
+        );
     }
 }

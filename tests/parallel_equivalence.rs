@@ -11,7 +11,11 @@ fn study_at(ds: &Dataset, names: &[ScenarioName], jobs: usize) -> Study {
         jobs,
         ..StudyConfig::default()
     };
-    Study::run(ds, &config, names)
+    run(ds, &config, names)
+}
+
+fn run(ds: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> Study {
+    Study::run(ds, config, names, &Telemetry::noop()).expect("study runs")
 }
 
 fn render(study: &Study, ds: &Dataset) -> String {
@@ -70,18 +74,19 @@ fn sanitized_fault_injected_dataset_is_identical_at_every_job_count() {
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
     let seq_cfg = StudyConfig {
         jobs: 1,
+        sanitize: true,
         ..StudyConfig::default()
     };
-    let (seq, seq_report) = Study::run_sanitized(&corrupt, &seq_cfg, &names);
+    let seq = run(&corrupt, &seq_cfg, &names);
     let seq_md = render(&seq, &corrupt);
     for jobs in [2, 4] {
         let cfg = StudyConfig {
             jobs,
-            ..StudyConfig::default()
+            ..seq_cfg.clone()
         };
-        let (par, par_report) = Study::run_sanitized(&corrupt, &cfg, &names);
+        let par = run(&corrupt, &cfg, &names);
         assert_eq!(
-            seq_report, par_report,
+            seq.sanitize, par.sanitize,
             "jobs={jobs}: sanitize report (coverage) must not depend on jobs"
         );
         assert_studies_equal(&seq, &par, &format!("sanitized jobs={jobs}"));
@@ -131,11 +136,20 @@ mod prop {
             let (ds, _) = FaultInjector::new(seed ^ 0xA5).with_all(eps).inject(&clean);
             let names: Vec<ScenarioName> =
                 ds.scenarios.iter().map(|s| s.name).collect();
-            let seq_cfg = StudyConfig { jobs: 1, ..StudyConfig::default() };
-            let par_cfg = StudyConfig { jobs, ..StudyConfig::default() };
-            let (seq, seq_rep) = Study::run_sanitized(&ds, &seq_cfg, &names);
-            let (par, par_rep) = Study::run_sanitized(&ds, &par_cfg, &names);
-            prop_assert_eq!(seq_rep, par_rep);
+            let seq_cfg = StudyConfig { jobs: 1, sanitize: true, ..StudyConfig::default() };
+            let par_cfg = StudyConfig { jobs, ..seq_cfg.clone() };
+            let run = |cfg: &StudyConfig| {
+                Study::run(&ds, cfg, &names, &Telemetry::noop()).map_err(|e| e.to_string())
+            };
+            let (seq, par) = match (run(&seq_cfg), run(&par_cfg)) {
+                (Ok(seq), Ok(par)) => (seq, par),
+                // Everything quarantined must be refused alike.
+                (seq, par) => {
+                    prop_assert_eq!(seq.err(), par.err());
+                    return Ok(());
+                }
+            };
+            prop_assert_eq!(&seq.sanitize, &par.sanitize);
             prop_assert_eq!(&seq.impact, &par.impact);
             prop_assert_eq!(&seq.coverage, &par.coverage);
             prop_assert_eq!(

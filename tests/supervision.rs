@@ -17,6 +17,15 @@ fn dataset(seed: u64, traces: usize) -> Dataset {
         .build()
 }
 
+fn run(ds: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> Study {
+    Study::run(ds, config, names, &Telemetry::noop()).expect("study runs")
+}
+
+/// A study of `ds` that never faulted, never checkpointed.
+fn clean_md(ds: &Dataset, names: &[ScenarioName]) -> String {
+    render(&run(ds, &StudyConfig::default(), names), ds)
+}
+
 fn names_of(ds: &Dataset) -> Vec<ScenarioName> {
     ds.scenarios.iter().map(|s| s.name).collect()
 }
@@ -30,14 +39,19 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn clean_supervised_run_is_byte_identical_to_unsupervised() {
+fn clean_run_is_byte_identical_to_a_sequential_run() {
     let ds = dataset(61, 24);
     let names = names_of(&ds);
-    let plain = Study::run(&ds, &StudyConfig::default(), &names);
-    let sup = Study::run_supervised(&ds, &StudyConfig::default(), &names)
-        .expect("clean supervised run succeeds");
-    assert!(sup.execution.is_clean());
-    assert_eq!(render(&plain, &ds), render(&sup, &ds));
+    let sequential = StudyConfig {
+        jobs: 1,
+        ..StudyConfig::default()
+    };
+    let study = run(&ds, &StudyConfig::default(), &names);
+    assert!(study.execution.is_clean());
+    assert_eq!(
+        render(&run(&ds, &sequential, &names), &ds),
+        render(&study, &ds)
+    );
 }
 
 #[test]
@@ -49,7 +63,7 @@ fn faulted_study_completes_and_lists_every_quarantined_unit() {
         exec_faults: Some(ExecFaultPlan::new(19).with_panic_rate(0.35)),
         ..StudyConfig::default()
     };
-    let study = Study::run_supervised(&ds, &config, &names).expect("faulted run still completes");
+    let study = run(&ds, &config, &names);
     let exec = &study.execution;
     assert!(exec.quarantined() > 0, "fault plan must hit something");
     let md = render(&study, &ds);
@@ -63,15 +77,14 @@ fn faulted_study_completes_and_lists_every_quarantined_unit() {
     // Determinism: the same fault plan at other job counts produces the
     // same failures and byte-identical markdown.
     for jobs in [2, 8] {
-        let par = Study::run_supervised(
+        let par = run(
             &ds,
             &StudyConfig {
                 jobs,
                 ..config.clone()
             },
             &names,
-        )
-        .expect("faulted parallel run completes");
+        );
         assert_eq!(exec.failures, par.execution.failures, "jobs={jobs}");
         assert_eq!(md, render(&par, &ds), "jobs={jobs}: markdown diverged");
     }
@@ -91,7 +104,7 @@ fn slow_units_are_quarantined_by_the_soft_deadline() {
         ),
         ..StudyConfig::default()
     };
-    let study = Study::run_supervised(&ds, &config, &names).expect("slow run completes");
+    let study = run(&ds, &config, &names);
     let exec = &study.execution;
     assert!(exec.quarantined() > 0, "slow faults must trip the deadline");
     for f in &exec.failures {
@@ -110,8 +123,7 @@ fn slow_units_are_quarantined_by_the_soft_deadline() {
 fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
     let ds = dataset(64, 18);
     let names = names_of(&ds);
-    let clean = Study::run(&ds, &StudyConfig::default(), &names);
-    let clean_md = render(&clean, &ds);
+    let clean_md = clean_md(&ds, &names);
     let dir = scratch_dir("resume");
 
     // First attempt: faults quarantine part of the study; survivors are
@@ -122,7 +134,7 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    let faulted = Study::run_supervised(&ds, &faulted_cfg, &names).expect("faulted run completes");
+    let faulted = run(&ds, &faulted_cfg, &names);
     assert!(faulted.execution.quarantined() > 0);
 
     // Resume with the faults gone: only the missing units re-run, and
@@ -134,8 +146,7 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
             checkpoint: Some(dir.clone()),
             ..StudyConfig::default()
         };
-        let resumed =
-            Study::run_supervised(&ds, &resume_cfg, &names).expect("resumed run completes");
+        let resumed = run(&ds, &resume_cfg, &names);
         assert!(resumed.execution.restored > 0, "resume must reuse units");
         assert!(resumed.execution.is_clean());
         assert_eq!(
@@ -151,13 +162,13 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
 fn torn_checkpoint_units_are_recomputed_not_trusted() {
     let ds = dataset(65, 12);
     let names = names_of(&ds);
-    let clean_md = render(&Study::run(&ds, &StudyConfig::default(), &names), &ds);
+    let clean_md = clean_md(&ds, &names);
     let dir = scratch_dir("torn");
     let cfg = StudyConfig {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    Study::run_supervised(&ds, &cfg, &names).expect("checkpointed run completes");
+    run(&ds, &cfg, &names);
 
     // Simulate a torn write: truncate one unit file mid-record.
     let victim = std::fs::read_dir(&dir)
@@ -173,7 +184,7 @@ fn torn_checkpoint_units_are_recomputed_not_trusted() {
     let text = std::fs::read_to_string(&victim).unwrap();
     std::fs::write(&victim, &text[..text.len() / 2]).unwrap();
 
-    let resumed = Study::run_supervised(&ds, &cfg, &names).expect("resume tolerates torn unit");
+    let resumed = run(&ds, &cfg, &names);
     assert!(resumed.execution.is_clean());
     assert_eq!(
         clean_md,
@@ -192,11 +203,11 @@ fn checkpoint_from_a_different_dataset_is_discarded() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    Study::run_supervised(&ds_a, &cfg, &names_of(&ds_a)).expect("first run");
+    run(&ds_a, &cfg, &names_of(&ds_a));
     // Same directory, different data set: nothing may be restored.
     let names_b = names_of(&ds_b);
-    let clean_md = render(&Study::run(&ds_b, &StudyConfig::default(), &names_b), &ds_b);
-    let second = Study::run_supervised(&ds_b, &cfg, &names_b).expect("second run");
+    let clean_md = clean_md(&ds_b, &names_b);
+    let second = run(&ds_b, &cfg, &names_b);
     assert_eq!(second.execution.restored, 0, "stale checkpoint reused");
     assert_eq!(clean_md, render(&second, &ds_b));
     let _ = std::fs::remove_dir_all(&dir);
@@ -232,8 +243,7 @@ mod prop {
                     exec_faults: Some(plan),
                     ..StudyConfig::default()
                 };
-                let study = Study::run_supervised(&ds, &cfg, &names)
-                    .expect("supervised run never aborts");
+                let study = run(&ds, &cfg, &names);
                 render(&study, &ds)
             };
             let seq_md = faulted(1);
@@ -243,7 +253,7 @@ mod prop {
 
             // Faulted + checkpoint, then fault-free resume: identical to
             // a study that was never interrupted.
-            let clean_md = render(&Study::run(&ds, &StudyConfig::default(), &names), &ds);
+            let clean_md = clean_md(&ds, &names);
             let dir = scratch_dir(&format!("prop-{seed}-{traces}-{jobs}-{panic_pct}"));
             let ckpt_cfg = StudyConfig {
                 jobs,
@@ -251,14 +261,13 @@ mod prop {
                 checkpoint: Some(dir.clone()),
                 ..StudyConfig::default()
             };
-            Study::run_supervised(&ds, &ckpt_cfg, &names).expect("faulted checkpointed run");
+            run(&ds, &ckpt_cfg, &names);
             let resume_cfg = StudyConfig {
                 jobs: 1,
                 checkpoint: Some(dir.clone()),
                 ..StudyConfig::default()
             };
-            let resumed = Study::run_supervised(&ds, &resume_cfg, &names)
-                .expect("resumed run");
+            let resumed = run(&ds, &resume_cfg, &names);
             let _ = std::fs::remove_dir_all(&dir);
             prop_assert!(resumed.execution.is_clean());
             prop_assert_eq!(&clean_md, &render(&resumed, &ds), "resume diverged from clean run");
@@ -277,13 +286,13 @@ mod prop {
         ) {
             let ds = dataset(seed, traces);
             let names = names_of(&ds);
-            let clean_md = render(&Study::run(&ds, &StudyConfig::default(), &names), &ds);
+            let clean_md = clean_md(&ds, &names);
             let dir = scratch_dir(&format!("torn-prop-{seed}-{traces}-{cut_per_mille}"));
             let cfg = StudyConfig {
                 checkpoint: Some(dir.clone()),
                 ..StudyConfig::default()
             };
-            Study::run_supervised(&ds, &cfg, &names).expect("checkpointed run completes");
+            run(&ds, &cfg, &names);
 
             // Tear every unit file at the sampled relative offset (the
             // per-unit absolute offset varies with file length, widening
@@ -305,8 +314,7 @@ mod prop {
             }
             prop_assert!(torn > 0, "run must have checkpointed at least one unit");
 
-            let resumed = Study::run_supervised(&ds, &cfg, &names)
-                .expect("resume tolerates torn units");
+            let resumed = run(&ds, &cfg, &names);
             let _ = std::fs::remove_dir_all(&dir);
             prop_assert!(resumed.execution.is_clean());
             prop_assert_eq!(
@@ -333,12 +341,12 @@ mod prop {
             let names = names_of(&clean);
 
             // The reference: a fresh sanitized run that never faulted.
-            let fresh_md = match Study::run_sanitized_supervised(
-                &corrupt,
-                &StudyConfig::default(),
-                &names,
-            ) {
-                Ok((study, _)) => render(&study, &corrupt),
+            let sanitizing = StudyConfig {
+                sanitize: true,
+                ..StudyConfig::default()
+            };
+            let fresh_md = match Study::run(&corrupt, &sanitizing, &names, &Telemetry::noop()) {
+                Ok(study) => render(&study, &corrupt),
                 // Everything quarantined: a legal degraded outcome with
                 // nothing left to checkpoint or resume.
                 Err(_) => return Ok(()),
@@ -354,18 +362,15 @@ mod prop {
                     jobs,
                     exec_faults: Some(plan),
                     checkpoint: Some(dir.clone()),
-                    ..StudyConfig::default()
+                    ..sanitizing.clone()
                 };
-                Study::run_sanitized_supervised(&corrupt, &faulted_cfg, &names)
-                    .expect("faulted sanitized checkpointed run");
+                run(&corrupt, &faulted_cfg, &names);
                 let resume_cfg = StudyConfig {
                     jobs,
                     checkpoint: Some(dir.clone()),
-                    ..StudyConfig::default()
+                    ..sanitizing.clone()
                 };
-                let (resumed, _) =
-                    Study::run_sanitized_supervised(&corrupt, &resume_cfg, &names)
-                        .expect("sanitized resume");
+                let resumed = run(&corrupt, &resume_cfg, &names);
                 let _ = std::fs::remove_dir_all(&dir);
                 prop_assert!(resumed.execution.is_clean());
                 prop_assert_eq!(

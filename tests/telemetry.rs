@@ -19,7 +19,7 @@ fn observed_study() -> (Study, RunReport) {
         .iter()
         .map(|&s| ScenarioName::new(s))
         .collect();
-    let study = Study::run_traced(&ds, &StudyConfig::default(), &names, &telemetry);
+    let study = Study::run(&ds, &StudyConfig::default(), &names, &telemetry).expect("study runs");
     (study, sink.report())
 }
 
@@ -32,6 +32,7 @@ fn study_reports_every_pipeline_stage() {
     for stage in [
         stage::SIM,
         stage::STUDY,
+        stage::SUPERVISE,
         stage::IMPACT,
         stage::CLASSES,
         stage::WAITGRAPH,
@@ -42,13 +43,18 @@ fn study_reports_every_pipeline_stage() {
         assert!(names.contains(&stage), "missing stage {stage:?}: {names:?}");
         assert!(report.total_ns(stage) > 0, "zero time in stage {stage:?}");
     }
-    // The pipeline stages run inside the study span.
+    // The pipeline stages run inside the study span, each scenario
+    // unit's under the supervisor that runs it.
     let study_span = report
         .spans
         .iter()
         .find(|s| s.name == stage::STUDY)
         .expect("study span present");
-    assert!(study_span.children.iter().any(|c| c.name == stage::CLASSES));
+    assert!(study_span
+        .children
+        .iter()
+        .filter(|c| c.name == stage::SUPERVISE)
+        .any(|c| c.children.iter().any(|g| g.name == stage::CLASSES)));
 }
 
 #[test]
@@ -156,8 +162,16 @@ fn disabled_telemetry_changes_nothing_and_collects_nothing() {
         .traces(30)
         .mix(ScenarioMix::Only(vec!["BrowserTabCreate".into()]))
         .build();
-    let plain = Study::run(&ds, &StudyConfig::default(), &names);
-    let traced = Study::run_traced(&ds, &StudyConfig::default(), &names, &Telemetry::noop());
+    let run = |telemetry: &Telemetry| {
+        Study::run(&ds, &StudyConfig::default(), &names, telemetry).expect("study runs")
+    };
+    let (collecting, sink) = CollectingSink::telemetry();
+    let traced = run(&collecting);
+    assert!(
+        !sink.report().spans.is_empty(),
+        "the attached sink collects"
+    );
+    let plain = run(&Telemetry::noop());
     let (a, b) = (
         plain.scenarios[&names[0]].causality.as_ref().unwrap(),
         traced.scenarios[&names[0]].causality.as_ref().unwrap(),
@@ -185,37 +199,41 @@ fn corpus() -> Dataset {
         .build()
 }
 
-fn observed(ds: &Dataset, jobs: usize, supervised: bool) -> (Study, RunReport) {
+fn observed(ds: &Dataset, jobs: usize) -> (Study, RunReport) {
     let (telemetry, sink) = CollectingSink::telemetry();
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
     let config = StudyConfig {
         jobs,
         ..StudyConfig::default()
     };
-    let study = if supervised {
-        Study::run_governed_traced(ds, &config, &names, &telemetry).unwrap()
-    } else {
-        Study::run_traced(ds, &config, &names, &telemetry)
-    };
+    let study = Study::run(ds, &config, &names, &telemetry).expect("study runs");
     (study, sink.report())
 }
 
 #[test]
 fn span_tree_has_the_same_shape_at_every_job_count() {
     let ds = corpus();
-    for supervised in [false, true] {
-        let (_, one) = observed(&ds, 1, supervised);
-        let expect = shape(&one.spans);
-        assert_eq!(expect.len(), 1, "one root span: {expect:?}");
-        assert!(expect[0].starts_with("study("), "{expect:?}");
-        for jobs in [2, 8] {
-            let (_, report) = observed(&ds, jobs, supervised);
-            assert_eq!(
-                shape(&report.spans),
-                expect,
-                "supervised={supervised}, jobs={jobs}"
-            );
-        }
+    let (_, one) = observed(&ds, 1);
+    let expect = shape(&one.spans);
+    assert_eq!(expect.len(), 1, "one root span: {expect:?}");
+    assert!(expect[0].starts_with("study("), "{expect:?}");
+    for stage in [
+        stage::SUPERVISE,
+        stage::WAITGRAPH,
+        stage::IMPACT,
+        stage::CLASSES,
+        stage::AGGREGATE,
+        stage::SEGMENTS,
+        stage::CONTRAST,
+    ] {
+        assert!(
+            expect[0].contains(&format!("{stage}(")),
+            "{stage}: {expect:?}"
+        );
+    }
+    for jobs in [2, 8] {
+        let (_, report) = observed(&ds, jobs);
+        assert_eq!(shape(&report.spans), expect, "jobs={jobs}");
     }
 }
 
@@ -228,14 +246,12 @@ fn clean_study_builds_one_index_per_stream_and_one_graph_per_instance() {
         .filter(|s| ds.instances.iter().any(|i| i.trace == s.id()))
         .count() as u64;
     for jobs in [1, 2] {
-        for supervised in [false, true] {
-            let (study, report) = observed(&ds, jobs, supervised);
-            assert!(study.execution.is_clean());
-            let get = |n: &str| report.metrics.counters.get(n).copied().unwrap_or(0);
-            let at = format!("jobs={jobs}, supervised={supervised}");
-            assert_eq!(get("waitgraph.graphs"), ds.instances.len() as u64, "{at}");
-            assert_eq!(get("waitgraph.indices"), streams_with_instances, "{at}");
-            assert_eq!(get("impact.instances"), ds.instances.len() as u64, "{at}");
-        }
+        let (study, report) = observed(&ds, jobs);
+        assert!(study.execution.is_clean());
+        let get = |n: &str| report.metrics.counters.get(n).copied().unwrap_or(0);
+        let at = format!("jobs={jobs}");
+        assert_eq!(get("waitgraph.graphs"), ds.instances.len() as u64, "{at}");
+        assert_eq!(get("waitgraph.indices"), streams_with_instances, "{at}");
+        assert_eq!(get("impact.instances"), ds.instances.len() as u64, "{at}");
     }
 }
