@@ -18,7 +18,7 @@
 //! `BENCH_governance.json` (override with `TRACELENS_BENCH_OUT`).
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tracelens::prelude::*;
 use tracelens_bench::{pct, row, rule, selected_names, BenchArgs};
 
@@ -56,34 +56,59 @@ fn main() {
 
     // ---- Governance overhead: estimates + admission + reporting on a
     // budget that never constrains, against the plain supervised run.
-    // Each sample times a small batch of runs so that single-run jitter
-    // (the whole study is tens of milliseconds) does not dominate.
-    const RUNS_PER_SAMPLE: u32 = 3;
-    let best_of = |f: &dyn Fn()| {
-        (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                for _ in 0..RUNS_PER_SAMPLE {
-                    f();
-                }
-                t0.elapsed().as_secs_f64() / RUNS_PER_SAMPLE as f64
-            })
-            .fold(f64::INFINITY, f64::min)
+    // Both sides run at one job, so worker scheduling on a shared host
+    // does not swamp the difference. Plain and governed samples
+    // alternate (in ABBA order), and each sample repeats its study for
+    // at least `MIN_SAMPLE`, so single-run jitter (one study takes under
+    // ten milliseconds) does not dominate. The overhead is the median of
+    // the per-pair ratios: host drift over the measurement hits both
+    // sides of a pair alike, and a pair hit by a burst of noise is
+    // outvoted.
+    const PAIRS: usize = 10;
+    const MIN_SAMPLE: Duration = Duration::from_millis(100);
+    let sample = |f: &dyn Fn()| {
+        let t0 = Instant::now();
+        let mut runs = 0u32;
+        while runs == 0 || t0.elapsed() < MIN_SAMPLE {
+            f();
+            runs += 1;
+        }
+        t0.elapsed().as_secs_f64() / f64::from(runs)
     };
-    let plain_wall = best_of(&|| {
-        let _ = Study::run(&ds, &StudyConfig::default(), &names, &Telemetry::noop())
-            .expect("plain supervised run");
-    });
-    let governed_cfg = StudyConfig {
-        govern: GovernPolicy::with_budget_mb(UNCONSTRAINED_MB),
+    let plain_cfg = StudyConfig {
+        jobs: 1,
         ..StudyConfig::default()
     };
-    let governed_wall = best_of(&|| {
+    let plain = || {
+        let _ =
+            Study::run(&ds, &plain_cfg, &names, &Telemetry::noop()).expect("plain supervised run");
+    };
+    let governed_cfg = StudyConfig {
+        govern: GovernPolicy::with_budget_mb(UNCONSTRAINED_MB),
+        ..plain_cfg.clone()
+    };
+    let governed = || {
         let study = Study::run(&ds, &governed_cfg, &names, &Telemetry::noop())
             .expect("unconstrained governed run");
         assert_eq!(study.governance.constrained(), 0, "budget must not bind");
-    });
-    let overhead = governed_wall / plain_wall - 1.0;
+    };
+    let (mut plain_walls, mut governed_walls) = (Vec::new(), Vec::new());
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            plain_walls.push(sample(&plain));
+            governed_walls.push(sample(&governed));
+        } else {
+            governed_walls.push(sample(&governed));
+            plain_walls.push(sample(&plain));
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
+    };
+    let ratios = governed_walls.iter().zip(&plain_walls).map(|(g, p)| g / p);
+    let overhead = median(ratios.collect()) - 1.0;
+    let (plain_wall, governed_wall) = (median(plain_walls), median(governed_walls));
     eprintln!(
         "clean run: plain {plain_wall:.3}s, governed {governed_wall:.3}s \
          (governance overhead {:+.1}%)",

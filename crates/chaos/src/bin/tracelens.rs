@@ -348,9 +348,9 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 }
 
 /// Packs a text data set into its `.tlb` binary columnar cache — the
-/// same image `--cache` writes transparently, produced explicitly (for
-/// warming caches ahead of a batch run, or shipping a corpus in its
-/// fast-loading form).
+/// same image `--cache` writes transparently, through the same atomic
+/// streamed writer, produced explicitly (for warming caches ahead of a
+/// batch run, or shipping a corpus in its fast-loading form).
 fn cmd_pack(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["jobs"])?;
     let path = opts.positional.first().ok_or("pack requires FILE")?;
@@ -365,16 +365,16 @@ fn cmd_pack(args: &[String]) -> Result<(), String> {
         Some(o) => PathBuf::from(o),
         None => tracelens::store::cache_path_for(Path::new(path)),
     };
-    let image = ds.to_binary(tracelens::model::fingerprint_bytes(&text));
-    std::fs::write(&out_path, &image)
+    let (fingerprint, text_len) = (tracelens::model::fingerprint_bytes(&text), text.len());
+    drop(text);
+    let packed = tracelens::store::write_cache(&out_path, &ds, fingerprint)
         .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
     eprintln!(
-        "packed {} traces / {} events → {} ({} bytes, {:.1}% of text)",
+        "packed {} traces / {} events → {} ({packed} bytes, {:.1}% of text)",
         ds.streams.len(),
         ds.total_events(),
         out_path.display(),
-        image.len(),
-        100.0 * image.len() as f64 / text.len().max(1) as f64
+        100.0 * packed as f64 / text_len.max(1) as f64
     );
     Ok(())
 }

@@ -5,8 +5,11 @@
 //! 1. **Binary cache** — a `.tlb` columnar image next to the text file
 //!    (see [`tracelens_model::binio`]). Loaded only when its recorded
 //!    fingerprint matches the current text bytes; anything else (torn,
-//!    corrupt, stale, version-skewed) falls back to the text parse and
-//!    is counted, never fatal.
+//!    corrupt, stale, another format version) falls back to the text
+//!    parse and is counted, never fatal. Both directions stream: a hit
+//!    decodes the cache from one open handle in one forward pass, and
+//!    [`write_cache`] encodes into a temp file through a fixed buffer,
+//!    so no whole `.tlb` image is ever held in memory.
 //! 2. **Sharded-parallel text** — the input is split on `!trace`
 //!    boundaries and the shards parsed on `tracelens-pool` workers. The
 //!    merged result is byte-identical (via `write_text`) to the serial
@@ -20,17 +23,16 @@
 //! Every ingest is instrumented under the `ingest` telemetry stage
 //! (span `ingest`, counters `ingest.bytes` / `ingest.events` /
 //! `ingest.shards` / `ingest.cache_hits` / `ingest.cache_fallbacks`),
-//! and the returned [`IngestReport`] carries the heap estimate the
-//! governance layer admits against plus the transport counters
+//! and the returned [`IngestReport`] carries the transport counters
 //! (`io_retries`, cache fallback) that `--sanitize` surfaces through
 //! `SanitizeReport`.
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read};
+use std::io::{self, Read, Seek};
 use std::path::{Path, PathBuf};
 use tracelens_model::textio::{ReadError, RetryPolicy, RetryingReader};
-use tracelens_model::{binio, Dataset, HeapSize};
+use tracelens_model::{binio, BinReadError, Dataset};
 use tracelens_obs::{stage, Telemetry};
 use tracelens_pool::Pool;
 
@@ -62,10 +64,11 @@ pub enum CacheFallback {
     /// No cache file next to the input yet.
     Missing,
     /// The cache's fingerprint does not match the current text (the
-    /// input changed since it was packed).
+    /// input changed since it was packed), or its intact header names
+    /// another format version. It is repacked, not quarantined.
     Stale,
-    /// The cache failed to load: torn write, bit rot, bad magic, or a
-    /// different format version.
+    /// The cache failed to load: torn write, bit rot, bad magic, or an
+    /// unreadable file.
     Corrupt,
 }
 
@@ -100,9 +103,6 @@ pub struct IngestReport {
     /// `<name>.tlb.quarantined` for post-mortem instead of being
     /// silently repacked over.
     pub cache_quarantined: bool,
-    /// [`HeapSize`] estimate of the resulting data set — the number the
-    /// governance admission controller budgets against.
-    pub dataset_heap_bytes: usize,
 }
 
 impl IngestReport {
@@ -115,7 +115,6 @@ impl IngestReport {
             cache_fallback: None,
             cache_written: false,
             cache_quarantined: false,
-            dataset_heap_bytes: ds.heap_size(),
         }
     }
 }
@@ -318,10 +317,6 @@ fn read_file<R: Read>(
     Ok((text, reader.retries()))
 }
 
-/// Buffer size of [`fingerprint_file`]: large enough that a read costs
-/// little more than its copy, small enough to stay in cache while hashed.
-const HASH_CHUNK: usize = 128 * 1024;
-
 /// [`binio::fingerprint_bytes`] of a file's contents and the retries it
 /// took, read through a [`RetryingReader`] into one fixed buffer: the
 /// file is never held in memory.
@@ -331,7 +326,7 @@ fn fingerprint_file<R: Read>(
 ) -> io::Result<(u64, usize)> {
     let mut reader = RetryingReader::new(open(path)?, RetryPolicy::default());
     let mut fingerprint = binio::Fingerprinter::new();
-    let mut buf = vec![0u8; HASH_CHUNK];
+    let mut buf = vec![0u8; binio::IO_CHUNK];
     loop {
         match reader.read(&mut buf)? {
             0 => return Ok((fingerprint.finish(), reader.retries())),
@@ -345,12 +340,13 @@ fn fingerprint_file<R: Read>(
 /// With `cache` set, the sibling cache path ([`cache_path_for`]) is
 /// consulted first. Its header names the fingerprint of the text it was
 /// packed from; only when the header is intact is the text hashed — in
-/// a fixed buffer, without holding it — and a match loads the cache,
-/// whose payload checksum is verified in full. A missing, stale, or
-/// corrupt cache is counted in the report and the text is read and
-/// parsed instead — after which a fresh cache, stamped with the
-/// fingerprint of the bytes actually parsed, is written (atomically:
-/// temp file + rename, best-effort) so the next read hits.
+/// a fixed buffer, without holding it — and a match decodes the cache
+/// from the same open handle, verifying its payload checksum as it
+/// reads. A missing, stale, or corrupt cache is counted in the report
+/// and the text is read and parsed instead. The text is then hashed and
+/// dropped, and a fresh cache, stamped with the fingerprint of the bytes
+/// actually parsed, is streamed out by [`write_cache`] (best-effort) so
+/// the next read hits.
 ///
 /// # Errors
 ///
@@ -397,6 +393,8 @@ fn ingest_path_via<R: Read>(
     if !cache {
         return Ok((ds, report));
     }
+    let fingerprint = binio::fingerprint_bytes(&text);
+    drop(text);
     report.cache_fallback = fallback;
     telemetry.count("ingest.cache_fallbacks", 1);
     if fallback == Some(CacheFallback::Corrupt) {
@@ -405,7 +403,7 @@ fn ingest_path_via<R: Read>(
             telemetry.count("ingest.cache_quarantined", 1);
         }
     }
-    report.cache_written = write_cache(&cache_path, &ds, binio::fingerprint_bytes(&text));
+    report.cache_written = write_cache(&cache_path, &ds, fingerprint).is_ok();
     Ok((ds, report))
 }
 
@@ -429,10 +427,10 @@ pub fn cache_path_for(path: &Path) -> PathBuf {
 
 /// Looks for a cache of the text at `path` that can stand in for it:
 /// the cache header first, then — only if it is intact — the text's
-/// fingerprint, then — only if they match — the whole cache, payload
-/// checksum included. Returns the data set and the cache's byte size on
-/// a hit, or the fallback reason; adds the retries the text read took
-/// to `io_retries`.
+/// fingerprint, then — only if they match — the rest of the cache, read
+/// through the handle its header came from. Returns the data set and the
+/// cache's byte size on a hit, or the fallback reason; adds the retries
+/// the text read took to `io_retries`.
 ///
 /// # Errors
 ///
@@ -445,8 +443,8 @@ fn probe_cache<R: Read>(
     telemetry: &Telemetry,
 ) -> Result<Result<(Dataset, usize), CacheFallback>, ReadError> {
     let _span = telemetry.span(stage::INGEST);
-    let packed_from = match read_cache_header(cache_path) {
-        Ok(fingerprint) => fingerprint,
+    let (file, len, packed_from) = match open_cache(cache_path) {
+        Ok(opened) => opened,
         Err(reason) => return Ok(Err(reason)),
     };
     let (fingerprint, retries) = fingerprint_file(path, open).map_err(ReadError::Io)?;
@@ -455,49 +453,69 @@ fn probe_cache<R: Read>(
     if fingerprint != packed_from {
         return Ok(Err(CacheFallback::Stale));
     }
-    Ok(load_cache(cache_path, fingerprint))
+    Ok(load_cache(file, len, fingerprint))
 }
 
-/// The source fingerprint in a cache's header.
-fn read_cache_header(cache_path: &Path) -> Result<u64, CacheFallback> {
-    let mut header = Vec::with_capacity(binio::HEADER_LEN);
-    File::open(cache_path)
-        .and_then(|f| f.take(binio::HEADER_LEN as u64).read_to_end(&mut header))
-        .map_err(|_| CacheFallback::Missing)?;
-    binio::header_fingerprint(&header).ok_or(CacheFallback::Corrupt)
-}
-
-/// Loads the whole cache, re-checking its header fingerprint against
-/// `fingerprint` (the file may have been replaced since the header was
-/// read) and its payload checksum.
-fn load_cache(cache_path: &Path, fingerprint: u64) -> Result<(Dataset, usize), CacheFallback> {
-    let bytes = std::fs::read(cache_path).map_err(|_| CacheFallback::Missing)?;
-    match binio::header_fingerprint(&bytes) {
-        Some(fp) if fp != fingerprint => return Err(CacheFallback::Stale),
-        Some(_) => {}
-        None => return Err(CacheFallback::Corrupt),
+/// Why a cache that failed to read is not used: a cache of another
+/// format version is stale, anything else is corrupt.
+fn fallback_for(error: &BinReadError) -> CacheFallback {
+    match error {
+        BinReadError::UnsupportedVersion(_) => CacheFallback::Stale,
+        _ => CacheFallback::Corrupt,
     }
-    let (ds, _) = Dataset::read_binary(&bytes).map_err(|_| CacheFallback::Corrupt)?;
-    Ok((ds, bytes.len()))
 }
 
-/// Writes the cache atomically (temp sibling + rename). Best-effort: a
-/// read-only directory or full disk just means no cache next time.
-fn write_cache(cache_path: &Path, ds: &Dataset, fingerprint: u64) -> bool {
-    let tmp = cache_path.with_extension("tlb.tmp");
-    let write = || -> std::io::Result<()> {
+/// Opens a cache and reads the source fingerprint in its header; returns
+/// the handle rewound to the start, the file length and the fingerprint.
+fn open_cache(cache_path: &Path) -> Result<(File, u64, u64), CacheFallback> {
+    let mut file = File::open(cache_path).map_err(|_| CacheFallback::Missing)?;
+    let len = file.metadata().map_err(|_| CacheFallback::Missing)?.len();
+    let mut header = [0u8; binio::HEADER_LEN];
+    let header = &mut header[..len.min(binio::HEADER_LEN as u64) as usize];
+    file.read_exact(header)
+        .and_then(|()| file.rewind())
+        .map_err(|_| CacheFallback::Corrupt)?;
+    let header = binio::parse_header(header).map_err(|e| fallback_for(&e))?;
+    Ok((file, len, header.fingerprint))
+}
+
+/// Decodes the cache from the handle [`open_cache`] returned, in one
+/// forward pass that verifies the payload checksum, and re-checks the
+/// header fingerprint against `fingerprint` (the file may have been
+/// rewritten in place since the header was read).
+fn load_cache(file: File, len: u64, fingerprint: u64) -> Result<(Dataset, usize), CacheFallback> {
+    match Dataset::read_binary_from(file, len) {
+        Ok((_, fp)) if fp != fingerprint => Err(CacheFallback::Stale),
+        Ok((ds, _)) => Ok((ds, len as usize)),
+        Err(e) => Err(fallback_for(&e)),
+    }
+}
+
+/// Packs `ds` into a `.tlb` file at `cache_path`, stamped with the
+/// source `fingerprint`, and returns the file's size in bytes. The
+/// image is streamed into a temp sibling (`<name>.tmp`) through a fixed
+/// buffer, synced, then renamed over `cache_path`, so readers see either
+/// the old file or the whole new one and the image is never held in
+/// memory. On failure the temp file is removed.
+///
+/// # Errors
+///
+/// I/O errors creating, writing, syncing or renaming the file. The
+/// `--cache` layer treats them as "no cache next time".
+pub fn write_cache(cache_path: &Path, ds: &Dataset, fingerprint: u64) -> io::Result<u64> {
+    let mut tmp = cache_path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let write = || -> io::Result<u64> {
         let mut f = File::create(&tmp)?;
-        ds.write_binary(fingerprint, &mut f)?;
+        let len = ds.write_binary(fingerprint, &mut f)?;
         f.sync_all()?;
-        std::fs::rename(&tmp, cache_path)
+        std::fs::rename(&tmp, cache_path)?;
+        Ok(len)
     };
-    match write() {
-        Ok(()) => true,
-        Err(_) => {
-            let _ = std::fs::remove_file(&tmp);
-            false
-        }
-    }
+    write().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 #[cfg(test)]
@@ -735,6 +753,5 @@ mod tests {
         assert_eq!(report.cache_fallback, None);
         assert!(!report.cache_written);
         assert_eq!(report.events, ds.total_events());
-        assert!(report.dataset_heap_bytes > 0);
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! A packed data set holds the same information as the `.tlt` text
 //! format, laid out for load speed instead of readability: the symbol
-//! and stack tables are written once, events live in struct-of-arrays
-//! columns (one contiguous array per field), and loading is a bounded
-//! sequence of column reads instead of a per-line parse. The paper's
-//! corpus is re-analyzed far more often than it is collected, so the
-//! pack cost is paid once and every later run starts at column-read
-//! speed.
+//! and stack tables are written once, each stream's events live in
+//! struct-of-arrays columns (one contiguous array per field), and
+//! loading is a bounded sequence of column reads instead of a per-line
+//! parse. The paper's corpus is re-analyzed far more often than it is
+//! collected, so the pack cost is paid once and every later run starts
+//! at column-read speed.
 //!
-//! ## Layout
+//! ## Layout (version 2)
 //!
 //! ```text
 //! header (32 bytes)
@@ -20,26 +20,42 @@
 //!   checksum   u64             FNV-1a of the payload bytes
 //! payload (all integers little-endian)
 //!   symbols    count, then per symbol: len + UTF-8 bytes
-//!   stacks     count, frame-count column, flat frame-symbol column
+//!   stacks     count, frame-count column, frame total, flat
+//!              frame-symbol column
 //!   names      scenario-name table (count, then len + bytes each)
-//!   scenarios  name-index, t_fast, t_slow columns
-//!   streams    ids + event-count columns, then the event columns:
-//!              kind u8 / tid u32 / pid u32 / t u64 / cost u64 /
-//!              stack u32, a wtid presence bitmap, packed wtid values
-//!   instances  trace, tid, t0, t1, name-index columns
+//!   scenarios  count, name-index, t_fast, t_slow columns
+//!   streams    count, total events, then one block per stream:
+//!                id u32, event count u64,
+//!                kind u8 / tid u32 / pid u32 / t u64 / cost u64 /
+//!                stack u32 columns over this stream's events,
+//!                wtid presence bitmap, wtid count u32, wtid values
+//!   instances  count, trace, tid, t0, t1, name-index columns
 //! ```
+//!
+//! Because every stream's columns sit together, the writer and the
+//! reader both walk the file once, front to back, through fixed
+//! buffers: [`Dataset::write_binary`] encodes stream by stream through
+//! one [`IO_CHUNK`] buffer, hashing as it writes, and seeks back to
+//! patch the payload length and checksum into the header;
+//! [`Dataset::read_binary_from`] hashes exactly the bytes it decodes and
+//! buffers at most one stream block. [`Dataset::to_binary`] and
+//! [`Dataset::read_binary`] are the in-memory forms of the same encoder
+//! and decoder.
 //!
 //! The fingerprint identifies *which text* a cache was packed from; the
 //! checksum proves the payload arrived intact. A reader rejects any
 //! torn, bit-flipped, or version-skewed file with a typed
 //! [`BinReadError`] — callers (the `--cache` layer) then fall back to
-//! the text parse. Reading is loss-free even for data sets that would
-//! fail validation (unsorted streams, dangling stack ids survive a
-//! round trip unchanged), so packing never launders corruption.
+//! the text parse. A damaged payload is reported as
+//! [`BinReadError::ChecksumMismatch`] whatever decode error it caused
+//! first. Reading is loss-free even for data sets that would fail
+//! validation (unsorted streams, dangling stack ids survive a round
+//! trip unchanged), so packing never launders corruption.
 
 use crate::dataset::Dataset;
 use crate::event::{Event, EventKind};
 use crate::ids::{ProcessId, ThreadId, TraceId};
+use crate::intern::Symbol;
 use crate::scenario::{Scenario, ScenarioInstance, ScenarioName, Thresholds};
 use crate::stack::StackId;
 use crate::stream::TraceStream;
@@ -47,18 +63,23 @@ use crate::time::TimeNs;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// File magic of the binary store.
 pub const MAGIC: [u8; 4] = *b"TLB!";
 
 /// Current binary format version; bumped on any layout change, so a
 /// reader never mis-parses a cache written by a different build.
-pub const BIN_FORMAT_VERSION: u32 = 1;
+pub const BIN_FORMAT_VERSION: u32 = 2;
 
 /// Header length in bytes (magic + version + fingerprint + payload
 /// length + checksum).
 pub const HEADER_LEN: usize = 32;
+
+/// Buffer size of the streamed writer and of the reader's read-ahead:
+/// large enough that a read or write costs little more than its copy,
+/// small enough to stay in cache while hashed.
+pub const IO_CHUNK: usize = 128 * 1024;
 
 /// FNV-1a 64 folded over 8-byte little-endian words (the final partial
 /// word zero-padded, the input length mixed in last) — used both as the
@@ -173,18 +194,51 @@ impl Fingerprinter {
     }
 }
 
+/// A parsed `.tlb` header: everything before the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Fingerprint of the source the image was packed from.
+    pub fingerprint: u64,
+    /// Payload length in bytes.
+    pub payload_len: u64,
+    /// [`fingerprint_bytes`] of the payload.
+    pub checksum: u64,
+}
+
+/// Parses the header at the start of `bytes`, which may hold more.
+///
+/// # Errors
+///
+/// [`BinReadError::BadMagic`] unless `bytes` starts with [`MAGIC`],
+/// [`BinReadError::Truncated`] if they end inside the header, and
+/// [`BinReadError::UnsupportedVersion`] for an intact header of another
+/// format version — a cache layer can treat that one as stale rather
+/// than corrupt.
+pub fn parse_header(bytes: &[u8]) -> Result<Header, BinReadError> {
+    if bytes.len() < 4 || bytes[0..4] != MAGIC {
+        return Err(BinReadError::BadMagic);
+    }
+    if bytes.len() < HEADER_LEN {
+        return Err(BinReadError::Truncated);
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    if version != BIN_FORMAT_VERSION {
+        return Err(BinReadError::UnsupportedVersion(version));
+    }
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    Ok(Header {
+        fingerprint: word(8),
+        payload_len: word(16),
+        checksum: word(24),
+    })
+}
+
 /// Reads just the source fingerprint out of a `.tlb` header, without
 /// touching the payload — the cheap staleness check the cache layer
 /// runs before committing to a full load. `None` if the bytes are not
 /// a complete header of the supported version.
 pub fn header_fingerprint(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < HEADER_LEN || bytes[0..4] != MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes(bytes[4..8].try_into().ok()?) != BIN_FORMAT_VERSION {
-        return None;
-    }
-    Some(u64::from_le_bytes(bytes[8..16].try_into().ok()?))
+    parse_header(bytes).ok().map(|h| h.fingerprint)
 }
 
 /// Errors produced while reading the binary store. Every variant means
@@ -202,6 +256,8 @@ pub enum BinReadError {
     ChecksumMismatch,
     /// Structurally invalid payload.
     Malformed(&'static str),
+    /// The input failed with an I/O error other than ending early.
+    Io(io::ErrorKind),
 }
 
 impl fmt::Display for BinReadError {
@@ -214,11 +270,19 @@ impl fmt::Display for BinReadError {
             BinReadError::Truncated => write!(f, "binary store is truncated"),
             BinReadError::ChecksumMismatch => write!(f, "binary store checksum mismatch"),
             BinReadError::Malformed(what) => write!(f, "malformed binary store: {what}"),
+            BinReadError::Io(kind) => write!(f, "cannot read binary store: {kind}"),
         }
     }
 }
 
 impl Error for BinReadError {}
+
+/// Bytes per event in a stream block's six fixed-width columns: kind 1,
+/// tid 4, pid 4, t 8, cost 8, stack 4.
+const EVENT_BYTES: usize = 29;
+
+/// Smallest stream block: id, event count and wtid count.
+const STREAM_MIN_BYTES: u64 = 16;
 
 fn kind_byte(kind: EventKind) -> u8 {
     match kind {
@@ -229,49 +293,237 @@ fn kind_byte(kind: EventKind) -> u8 {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The scenario-name table: every name once, in first-appearance order
+/// over scenarios, then instances.
+struct NameTable<'a> {
+    names: Vec<&'a str>,
+    index: HashMap<&'a str, u32>,
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+impl<'a> NameTable<'a> {
+    fn of(ds: &'a Dataset) -> NameTable<'a> {
+        let mut table = NameTable {
+            names: Vec::new(),
+            index: HashMap::new(),
+        };
+        for name in ds
+            .scenarios
+            .iter()
+            .map(|s| s.name.as_str())
+            .chain(ds.instances.iter().map(|i| i.scenario.as_str()))
+        {
+            table.index.entry(name).or_insert_with(|| {
+                table.names.push(name);
+                table.names.len() as u32 - 1
+            });
+        }
+        table
+    }
+
+    fn index(&self, name: &str) -> [u8; 4] {
+        self.index[name].to_le_bytes()
+    }
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+/// Bytes of one stream block: id, event count, the six event columns,
+/// the wtid bitmap, the wtid count and the wtid values.
+fn stream_block_len(events: &[Event]) -> usize {
+    let woken = events.iter().filter(|e| e.wtid.is_some()).count();
+    4 + 8 + EVENT_BYTES * events.len() + events.len().div_ceil(8) + 4 + 4 * woken
 }
 
-/// Bounds-checked cursor over the payload; every read is checked so a
-/// crafted or colliding payload produces an error, never a panic.
-struct Reader<'a> {
-    bytes: &'a [u8],
+/// The wtid presence bits of up to eight events, first event lowest.
+fn wtid_bits(group: &[Event]) -> u8 {
+    group
+        .iter()
+        .enumerate()
+        .fold(0, |bits, (i, e)| bits | u8::from(e.wtid.is_some()) << i)
+}
+
+/// Payload writer through one fixed [`IO_CHUNK`] buffer: bytes are
+/// staged, then hashed and written out whenever the buffer fills.
+struct Encoder<W> {
+    out: W,
+    buf: Box<[u8]>,
+    /// Staged bytes in `buf`.
+    used: usize,
+    hash: Fingerprinter,
+    len: u64,
+}
+
+impl<W: Write> Encoder<W> {
+    fn new(out: W) -> Encoder<W> {
+        Encoder {
+            out,
+            buf: vec![0; IO_CHUNK].into_boxed_slice(),
+            used: 0,
+            hash: Fingerprinter::new(),
+            len: 0,
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let staged = &self.buf[..self.used];
+        self.hash.update(staged);
+        self.out.write_all(staged)?;
+        self.len += self.used as u64;
+        self.used = 0;
+        Ok(())
+    }
+
+    /// Appends fixed-width items — one column, or a single value — a
+    /// buffer's worth at a time.
+    fn put<const N: usize>(&mut self, items: impl IntoIterator<Item = [u8; N]>) -> io::Result<()> {
+        let mut items = items.into_iter();
+        loop {
+            if self.used + N > IO_CHUNK {
+                self.flush()?;
+            }
+            let room = &mut self.buf[self.used..];
+            let mut filled = 0;
+            // `zip` stops at the first exhausted side without pulling an
+            // item it cannot place.
+            for (slot, item) in room.chunks_exact_mut(N).zip(&mut items) {
+                slot.copy_from_slice(&item);
+                filled += N;
+            }
+            self.used += filled;
+            if self.used + N <= IO_CHUNK {
+                return Ok(());
+            }
+        }
+    }
+
+    fn u32(&mut self, v: u32) -> io::Result<()> {
+        self.put([v.to_le_bytes()])
+    }
+
+    fn u64(&mut self, v: u64) -> io::Result<()> {
+        self.put([v.to_le_bytes()])
+    }
+
+    fn str(&mut self, s: &str) -> io::Result<()> {
+        self.u32(s.len() as u32)?;
+        self.put(s.bytes().map(|b| [b]))
+    }
+
+    /// One stream block, its columns over this stream's events only.
+    fn stream(&mut self, stream: &TraceStream) -> io::Result<()> {
+        let events = stream.events();
+        self.u32(stream.id().0)?;
+        self.u64(events.len() as u64)?;
+        self.put(events.iter().map(|e| [kind_byte(e.kind)]))?;
+        self.put(events.iter().map(|e| e.tid.0.to_le_bytes()))?;
+        self.put(events.iter().map(|e| e.pid.0.to_le_bytes()))?;
+        self.put(events.iter().map(|e| e.t.as_nanos().to_le_bytes()))?;
+        self.put(events.iter().map(|e| e.cost.as_nanos().to_le_bytes()))?;
+        self.put(events.iter().map(|e| e.stack.0.to_le_bytes()))?;
+        self.put(events.chunks(8).map(|group| [wtid_bits(group)]))?;
+        let woken = events.iter().filter_map(|e| e.wtid);
+        self.u32(woken.clone().count() as u32)?;
+        self.put(woken.map(|w| w.0.to_le_bytes()))
+    }
+
+    /// Writes out what is still staged; returns the payload length and
+    /// checksum.
+    fn finish(mut self) -> io::Result<(u64, u64)> {
+        self.flush()?;
+        Ok((self.len, self.hash.finish()))
+    }
+}
+
+/// Forward-only payload reader. It reads its input in [`IO_CHUNK`]
+/// pieces into one buffer, hashes each piece as it arrives and hands
+/// out bounds-checked slices of it. The buffer grows only when a single
+/// slice is longer than it, so at most to the largest stream block.
+struct Source<R> {
+    inner: R,
+    buf: Vec<u8>,
+    /// Decoded bytes end here in `buf`...
     pos: usize,
+    /// ...and read bytes here.
+    end: usize,
+    /// Payload bytes not yet read from `inner`.
+    unread: u64,
+    hash: Fingerprinter,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BinReadError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(BinReadError::Malformed("length overflow"))?;
-        if end > self.bytes.len() {
+impl<R: Read> Source<R> {
+    fn new(inner: R, payload_len: u64) -> Source<R> {
+        let chunk = usize::try_from(payload_len).map_or(IO_CHUNK, |len| len.min(IO_CHUNK));
+        Source {
+            inner,
+            buf: vec![0; chunk],
+            pos: 0,
+            end: 0,
+            unread: payload_len,
+            hash: Fingerprinter::new(),
+        }
+    }
+
+    /// Payload bytes not yet decoded.
+    fn remaining(&self) -> u64 {
+        self.unread + (self.end - self.pos) as u64
+    }
+
+    /// Reads and hashes more of the payload into `buf[end..]`, which must
+    /// have room while payload bytes are unread.
+    fn fill(&mut self) -> Result<(), BinReadError> {
+        let room =
+            (self.buf.len() - self.end).min(usize::try_from(self.unread).unwrap_or(usize::MAX));
+        let got = loop {
+            match self.inner.read(&mut self.buf[self.end..self.end + room]) {
+                Ok(0) => return Err(BinReadError::Truncated),
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(BinReadError::Io(e.kind())),
+            }
+        };
+        self.hash.update(&self.buf[self.end..self.end + got]);
+        self.end += got;
+        self.unread -= got as u64;
+        Ok(())
+    }
+
+    /// The next `n` payload bytes, left unconsumed.
+    fn peek(&mut self, n: usize) -> Result<&[u8], BinReadError> {
+        if n as u64 > self.remaining() {
             return Err(BinReadError::Malformed("section overruns payload"));
         }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        if self.end - self.pos < n {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            if self.buf.len() < n {
+                self.buf.resize(n, 0);
+            }
+            while self.end < n {
+                self.fill()?;
+            }
+        }
+        Ok(&self.buf[self.pos..self.pos + n])
+    }
+
+    /// The next `n` payload bytes.
+    fn take(&mut self, n: usize) -> Result<&[u8], BinReadError> {
+        self.peek(n)?;
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
     }
 
     fn u32(&mut self) -> Result<u32, BinReadError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> Result<u64, BinReadError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
-    fn str(&mut self) -> Result<&'a str, BinReadError> {
+    fn str(&mut self) -> Result<&str, BinReadError> {
         let len = self.u32()? as usize;
         std::str::from_utf8(self.take(len)?)
             .map_err(|_| BinReadError::Malformed("invalid utf-8 in string table"))
@@ -279,168 +531,164 @@ impl<'a> Reader<'a> {
 
     /// Validates an element count against the bytes actually left, so a
     /// corrupt count cannot drive a huge allocation.
-    fn counted(&self, count: u32, min_elem_bytes: usize) -> Result<usize, BinReadError> {
-        let count = count as usize;
-        if count.saturating_mul(min_elem_bytes) > self.bytes.len() - self.pos {
+    fn counted(&self, count: u64, min_elem_bytes: u64) -> Result<usize, BinReadError> {
+        if count.saturating_mul(min_elem_bytes) > self.remaining() {
             return Err(BinReadError::Malformed("count overruns payload"));
         }
-        Ok(count)
+        usize::try_from(count).map_err(|_| BinReadError::Malformed("count overflow"))
     }
 
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+    /// A `u32` element count, validated by [`Source::counted`].
+    fn count(&mut self, min_elem_bytes: u64) -> Result<usize, BinReadError> {
+        let count = self.u32()?;
+        self.counted(count.into(), min_elem_bytes)
+    }
+
+    /// Reads and hashes whatever of the payload is still unread.
+    fn drain(&mut self) -> Result<(), BinReadError> {
+        while self.unread > 0 {
+            self.pos = 0;
+            self.end = 0;
+            self.fill()?;
+        }
+        Ok(())
     }
 }
 
 impl Dataset {
-    /// Serializes the data set into a complete `.tlb` image.
+    /// Serializes the data set into a complete `.tlb` image, in a buffer
+    /// sized exactly up front.
     ///
     /// `fingerprint` identifies the source this image was packed from —
     /// conventionally [`fingerprint_bytes`] of the text serialization —
     /// and is what [`header_fingerprint`] reports for cache-staleness
     /// checks.
     pub fn to_binary(&self, fingerprint: u64) -> Vec<u8> {
-        let total_events: u64 = self.streams.iter().map(|s| s.len() as u64).sum();
-        let mut buf = Vec::with_capacity(HEADER_LEN + 64 + total_events as usize * 29);
-        buf.extend_from_slice(&MAGIC);
-        put_u32(&mut buf, BIN_FORMAT_VERSION);
-        put_u64(&mut buf, fingerprint);
-        put_u64(&mut buf, 0); // payload_len, patched below
-        put_u64(&mut buf, 0); // checksum, patched below
-
-        // Symbols, in id order.
-        put_u32(&mut buf, self.stacks.symbols().len() as u32);
-        for (_, text) in self.stacks.symbols().iter() {
-            put_str(&mut buf, text);
-        }
-
-        // Stacks: frame-count column, then the flat frame column.
-        put_u32(&mut buf, self.stacks.len() as u32);
-        let mut total_frames: u64 = 0;
-        for id in 0..self.stacks.len() {
-            let frames = self.stacks.frames(StackId(id as u32));
-            total_frames += frames.len() as u64;
-            put_u32(&mut buf, frames.len() as u32);
-        }
-        put_u64(&mut buf, total_frames);
-        for id in 0..self.stacks.len() {
-            for sym in self.stacks.frames(StackId(id as u32)) {
-                put_u32(&mut buf, sym.0);
-            }
-        }
-
-        // Scenario-name table, first-appearance order over scenarios
-        // then instances.
-        let mut names: Vec<&str> = Vec::new();
-        let mut name_idx: HashMap<&str, u32> = HashMap::new();
-        for name in self
-            .scenarios
-            .iter()
-            .map(|s| s.name.as_str())
-            .chain(self.instances.iter().map(|i| i.scenario.as_str()))
-        {
-            name_idx.entry(name).or_insert_with(|| {
-                names.push(name);
-                names.len() as u32 - 1
-            });
-        }
-        put_u32(&mut buf, names.len() as u32);
-        for name in &names {
-            put_str(&mut buf, name);
-        }
-
-        // Scenarios: name-index, t_fast, t_slow columns.
-        put_u32(&mut buf, self.scenarios.len() as u32);
-        for s in &self.scenarios {
-            put_u32(&mut buf, name_idx[s.name.as_str()]);
-        }
-        for s in &self.scenarios {
-            put_u64(&mut buf, s.thresholds.fast().as_nanos());
-        }
-        for s in &self.scenarios {
-            put_u64(&mut buf, s.thresholds.slow().as_nanos());
-        }
-
-        // Streams: id + length columns, then event columns over the
-        // concatenation of all streams' events.
-        put_u32(&mut buf, self.streams.len() as u32);
-        for s in &self.streams {
-            put_u32(&mut buf, s.id().0);
-        }
-        for s in &self.streams {
-            put_u64(&mut buf, s.len() as u64);
-        }
-        put_u64(&mut buf, total_events);
-        let all = || self.streams.iter().flat_map(|s| s.events().iter());
-        for e in all() {
-            buf.push(kind_byte(e.kind));
-        }
-        for e in all() {
-            put_u32(&mut buf, e.tid.0);
-        }
-        for e in all() {
-            put_u32(&mut buf, e.pid.0);
-        }
-        for e in all() {
-            put_u64(&mut buf, e.t.as_nanos());
-        }
-        for e in all() {
-            put_u64(&mut buf, e.cost.as_nanos());
-        }
-        for e in all() {
-            put_u32(&mut buf, e.stack.0);
-        }
-        let mut bitmap = vec![0u8; (total_events as usize).div_ceil(8)];
-        let mut wtids: Vec<u32> = Vec::new();
-        for (i, e) in all().enumerate() {
-            if let Some(w) = e.wtid {
-                bitmap[i / 8] |= 1 << (i % 8);
-                wtids.push(w.0);
-            }
-        }
-        buf.extend_from_slice(&bitmap);
-        put_u32(&mut buf, wtids.len() as u32);
-        for w in &wtids {
-            put_u32(&mut buf, *w);
-        }
-
-        // Instances: trace, tid, t0, t1, name-index columns.
-        put_u32(&mut buf, self.instances.len() as u32);
-        for i in &self.instances {
-            put_u32(&mut buf, i.trace.0);
-        }
-        for i in &self.instances {
-            put_u32(&mut buf, i.tid.0);
-        }
-        for i in &self.instances {
-            put_u64(&mut buf, i.t0.as_nanos());
-        }
-        for i in &self.instances {
-            put_u64(&mut buf, i.t1.as_nanos());
-        }
-        for i in &self.instances {
-            put_u32(&mut buf, name_idx[i.scenario.as_str()]);
-        }
-
-        // Patch payload length and checksum into the header.
-        let payload_len = (buf.len() - HEADER_LEN) as u64;
-        let checksum = fingerprint_bytes(&buf[HEADER_LEN..]);
-        buf[16..24].copy_from_slice(&payload_len.to_le_bytes());
-        buf[24..32].copy_from_slice(&checksum.to_le_bytes());
-        buf
+        let names = NameTable::of(self);
+        let mut image = io::Cursor::new(Vec::with_capacity(self.encoded_len(&names)));
+        self.encode(fingerprint, &names, &mut image)
+            .expect("writing to memory cannot fail");
+        image.into_inner()
     }
 
-    /// Writes the data set as a `.tlb` binary store (see [`Dataset::to_binary`]).
+    /// Writes the data set as a `.tlb` image at the current position of
+    /// `out`, stream by stream through one fixed [`IO_CHUNK`] buffer,
+    /// then seeks back to patch the payload length and checksum into the
+    /// header and leaves `out` at the end of the image. The bytes are
+    /// those of [`Dataset::to_binary`]; the whole image is never held in
+    /// memory. Returns the image length in bytes.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `out`.
-    pub fn write_binary<W: Write>(&self, fingerprint: u64, mut out: W) -> io::Result<()> {
-        out.write_all(&self.to_binary(fingerprint))
+    pub fn write_binary<W: Write + Seek>(&self, fingerprint: u64, out: W) -> io::Result<u64> {
+        self.encode(fingerprint, &NameTable::of(self), out)
+    }
+
+    fn encode<W: Write + Seek>(
+        &self,
+        fingerprint: u64,
+        names: &NameTable<'_>,
+        mut out: W,
+    ) -> io::Result<u64> {
+        let start = out.stream_position()?;
+        let mut header = [0u8; HEADER_LEN];
+        header[0..4].copy_from_slice(&MAGIC);
+        header[4..8].copy_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
+        header[8..16].copy_from_slice(&fingerprint.to_le_bytes());
+        out.write_all(&header)?; // payload length and checksum patched below
+        let mut enc = Encoder::new(&mut out);
+        self.encode_payload(names, &mut enc)?;
+        let (payload_len, checksum) = enc.finish()?;
+        header[16..24].copy_from_slice(&payload_len.to_le_bytes());
+        header[24..32].copy_from_slice(&checksum.to_le_bytes());
+        let len = HEADER_LEN as u64 + payload_len;
+        out.seek(SeekFrom::Start(start))?;
+        out.write_all(&header)?;
+        out.seek(SeekFrom::Start(start + len))?;
+        Ok(len)
+    }
+
+    /// The exact length of the image [`Dataset::encode`] writes.
+    fn encoded_len(&self, names: &NameTable<'_>) -> usize {
+        let strings =
+            |lens: &mut dyn Iterator<Item = usize>| lens.map(|len| 4 + len).sum::<usize>();
+        let symbols = strings(&mut self.stacks.symbols().iter().map(|(_, s)| s.len()));
+        let frames: usize = (0..self.stacks.len())
+            .map(|id| self.stacks.frames(StackId(id as u32)).len())
+            .sum();
+        let streams: usize = self
+            .streams
+            .iter()
+            .map(|s| stream_block_len(s.events()))
+            .sum();
+        HEADER_LEN
+            + (4 + symbols)
+            + (4 + 4 * self.stacks.len() + 8 + 4 * frames)
+            + (4 + strings(&mut names.names.iter().map(|n| n.len())))
+            + (4 + 20 * self.scenarios.len())
+            + (4 + 8 + streams)
+            + (4 + 28 * self.instances.len())
+    }
+
+    fn encode_payload<W: Write>(
+        &self,
+        names: &NameTable<'_>,
+        enc: &mut Encoder<W>,
+    ) -> io::Result<()> {
+        // Symbols, in id order.
+        enc.u32(self.stacks.symbols().len() as u32)?;
+        for (_, text) in self.stacks.symbols().iter() {
+            enc.str(text)?;
+        }
+
+        // Stacks: frame-count column, then the flat frame column.
+        let stacks = || (0..self.stacks.len()).map(|id| self.stacks.frames(StackId(id as u32)));
+        enc.u32(self.stacks.len() as u32)?;
+        enc.put(stacks().map(|frames| (frames.len() as u32).to_le_bytes()))?;
+        enc.u64(stacks().map(|frames| frames.len() as u64).sum())?;
+        enc.put(stacks().flatten().map(|sym| sym.0.to_le_bytes()))?;
+
+        enc.u32(names.names.len() as u32)?;
+        for name in &names.names {
+            enc.str(name)?;
+        }
+
+        // Scenarios: name-index, t_fast, t_slow columns.
+        let scenarios = &self.scenarios;
+        enc.u32(scenarios.len() as u32)?;
+        enc.put(scenarios.iter().map(|s| names.index(s.name.as_str())))?;
+        enc.put(
+            scenarios
+                .iter()
+                .map(|s| s.thresholds.fast().as_nanos().to_le_bytes()),
+        )?;
+        enc.put(
+            scenarios
+                .iter()
+                .map(|s| s.thresholds.slow().as_nanos().to_le_bytes()),
+        )?;
+
+        // Streams, one block each.
+        enc.u32(self.streams.len() as u32)?;
+        enc.u64(self.total_events() as u64)?;
+        for stream in &self.streams {
+            enc.stream(stream)?;
+        }
+
+        // Instances: trace, tid, t0, t1, name-index columns.
+        let instances = &self.instances;
+        enc.u32(instances.len() as u32)?;
+        enc.put(instances.iter().map(|i| i.trace.0.to_le_bytes()))?;
+        enc.put(instances.iter().map(|i| i.tid.0.to_le_bytes()))?;
+        enc.put(instances.iter().map(|i| i.t0.as_nanos().to_le_bytes()))?;
+        enc.put(instances.iter().map(|i| i.t1.as_nanos().to_le_bytes()))?;
+        enc.put(instances.iter().map(|i| names.index(i.scenario.as_str())))
     }
 
     /// Reads a data set from a `.tlb` image, returning it together with
-    /// the source fingerprint recorded in the header.
+    /// the source fingerprint recorded in the header. A thin wrapper
+    /// over [`Dataset::read_binary_from`].
     ///
     /// The reconstruction is exact: symbol ids, stack ids, stream order
     /// and event order all match the data set that was written, so
@@ -452,270 +700,257 @@ impl Dataset {
     /// A [`BinReadError`] for any torn, corrupted, or version-skewed
     /// image; the caller is expected to fall back to text ingestion.
     pub fn read_binary(bytes: &[u8]) -> Result<(Dataset, u64), BinReadError> {
-        if bytes.len() < 4 || bytes[0..4] != MAGIC {
-            return Err(BinReadError::BadMagic);
-        }
-        if bytes.len() < HEADER_LEN {
+        Dataset::read_binary_from(bytes, bytes.len() as u64)
+    }
+
+    /// Reads a data set from the `len`-byte `.tlb` image that `input`
+    /// holds, in one forward pass: the payload is read in [`IO_CHUNK`]
+    /// pieces, hashed as it arrives and decoded stream block by stream
+    /// block, so no more than the largest block is buffered. Returns the
+    /// data set and the source fingerprint recorded in the header.
+    ///
+    /// Errors take precedence in this order: a bad magic, short header
+    /// or other version; then a `len` that disagrees with the header's
+    /// payload length; then a payload checksum mismatch, which beats any
+    /// decode error (on one, the rest of the payload is read and hashed
+    /// before the reader decides).
+    ///
+    /// # Errors
+    ///
+    /// A [`BinReadError`] for any torn, corrupted, or version-skewed
+    /// image, or for an input that fails to read.
+    pub fn read_binary_from<R: Read>(
+        mut input: R,
+        len: u64,
+    ) -> Result<(Dataset, u64), BinReadError> {
+        let mut head = [0u8; HEADER_LEN];
+        let head = &mut head[..len.min(HEADER_LEN as u64) as usize];
+        input.read_exact(head).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => BinReadError::Truncated,
+            kind => BinReadError::Io(kind),
+        })?;
+        let header = parse_header(head)?;
+        let body = len - HEADER_LEN as u64;
+        if body < header.payload_len {
             return Err(BinReadError::Truncated);
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != BIN_FORMAT_VERSION {
-            return Err(BinReadError::UnsupportedVersion(version));
-        }
-        let fingerprint = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let checksum = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        let body = &bytes[HEADER_LEN..];
-        if (body.len() as u64) < payload_len {
-            return Err(BinReadError::Truncated);
-        }
-        if (body.len() as u64) > payload_len {
+        if body > header.payload_len {
             return Err(BinReadError::Malformed("trailing bytes after payload"));
         }
-        if fingerprint_bytes(body) != checksum {
+        let mut src = Source::new(input, header.payload_len);
+        let decoded = decode_payload(&mut src).and_then(|ds| match src.remaining() {
+            0 => Ok(ds),
+            _ => Err(BinReadError::Malformed("trailing bytes in payload")),
+        });
+        // Damage can make decoding fail anywhere: hash the rest, so that
+        // it is reported as damage and not as the error it happened to
+        // cause.
+        src.drain()?;
+        if src.hash.finish() != header.checksum {
             return Err(BinReadError::ChecksumMismatch);
         }
-
-        let mut r = Reader {
-            bytes: body,
-            pos: 0,
-        };
-        let mut ds = Dataset::new();
-
-        // Symbols.
-        let sym_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        for i in 0..sym_count {
-            let text = r.str()?;
-            let sym = ds.stacks.intern_frame(text);
-            if sym.0 as usize != i {
-                return Err(BinReadError::Malformed("duplicate symbol in table"));
-            }
-        }
-
-        // Stacks.
-        let stack_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut frame_counts = Vec::with_capacity(stack_count);
-        for _ in 0..stack_count {
-            frame_counts.push(r.u32()?);
-        }
-        let total_frames = r.u64()?;
-        if total_frames != frame_counts.iter().map(|&c| c as u64).sum::<u64>() {
-            return Err(BinReadError::Malformed("frame total mismatch"));
-        }
-        r.counted(
-            u32::try_from(total_frames).map_err(|_| BinReadError::Malformed("frame overflow"))?,
-            4,
-        )?;
-        let mut frames = Vec::new();
-        for (i, &count) in frame_counts.iter().enumerate() {
-            frames.clear();
-            for _ in 0..count {
-                let sym = r.u32()?;
-                if sym as usize >= sym_count {
-                    return Err(BinReadError::Malformed("frame references unknown symbol"));
-                }
-                frames.push(crate::intern::Symbol(sym));
-            }
-            let id = ds.stacks.intern(&frames);
-            if id.0 as usize != i {
-                return Err(BinReadError::Malformed("duplicate stack in table"));
-            }
-        }
-
-        // Scenario-name table.
-        let name_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut names = Vec::with_capacity(name_count);
-        for _ in 0..name_count {
-            names.push(ScenarioName::new(r.str()?));
-        }
-        let name_at = |idx: u32| -> Result<ScenarioName, BinReadError> {
-            names
-                .get(idx as usize)
-                .copied()
-                .ok_or(BinReadError::Malformed("scenario name index out of range"))
-        };
-
-        // Scenarios.
-        let scen_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut scen_names = Vec::with_capacity(scen_count);
-        for _ in 0..scen_count {
-            scen_names.push(name_at(r.u32()?)?);
-        }
-        let mut fasts = Vec::with_capacity(scen_count);
-        for _ in 0..scen_count {
-            fasts.push(r.u64()?);
-        }
-        for (name, fast) in scen_names.into_iter().zip(fasts) {
-            let slow = r.u64()?;
-            if fast >= slow {
-                return Err(BinReadError::Malformed("scenario thresholds inverted"));
-            }
-            ds.scenarios.push(Scenario::new(
-                name,
-                Thresholds::new(TimeNs(fast), TimeNs(slow)),
-            ));
-        }
-
-        // Streams and their event columns.
-        let stream_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut ids = Vec::with_capacity(stream_count);
-        for _ in 0..stream_count {
-            ids.push(r.u32()?);
-        }
-        let mut lens = Vec::with_capacity(stream_count);
-        for _ in 0..stream_count {
-            lens.push(r.u64()?);
-        }
-        let total_events = r.u64()?;
-        if total_events != lens.iter().sum::<u64>() {
-            return Err(BinReadError::Malformed("event total mismatch"));
-        }
-        let total = usize::try_from(total_events)
-            .ok()
-            .filter(|&t| t <= r.remaining())
-            .ok_or(BinReadError::Malformed("event count overruns payload"))?;
-        let kinds = r.take(total)?;
-        let tids = r.take(total.checked_mul(4).ok_or(BinReadError::Truncated)?)?;
-        let pids = r.take(total * 4)?;
-        let ts = r.take(total.checked_mul(8).ok_or(BinReadError::Truncated)?)?;
-        let costs = r.take(total * 8)?;
-        let stacks = r.take(total * 4)?;
-        let bitmap = r.take(total.div_ceil(8))?;
-        let wtid_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let wtids = r.take(wtid_count * 4)?;
-
-        // Validate the kind column and the wtid bitmap up front so the
-        // assembly loop below is infallible — no error branches on the
-        // per-event hot path.
-        if kinds.iter().any(|&b| b > 3) {
-            return Err(BinReadError::Malformed("bad event kind"));
-        }
-        let set_bits: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
-        if set_bits != wtid_count {
-            return Err(BinReadError::Malformed("wtid bitmap/column mismatch"));
-        }
-        if total % 8 != 0 {
-            if let Some(&last) = bitmap.last() {
-                if last >> (total % 8) != 0 {
-                    return Err(BinReadError::Malformed("wtid bitmap tail bits set"));
-                }
-            }
-        }
-
-        // Assemble events straight off the byte columns: lockstep chunk
-        // iterators instead of per-element bounds-checked indexing, and
-        // no intermediate decoded vectors.
-        fn next_u32(it: &mut std::slice::ChunksExact<'_, u8>) -> u32 {
-            u32::from_le_bytes(
-                it.next()
-                    .expect("sized column")
-                    .try_into()
-                    .expect("exact chunk"),
-            )
-        }
-        fn next_u64(it: &mut std::slice::ChunksExact<'_, u8>) -> u64 {
-            u64::from_le_bytes(
-                it.next()
-                    .expect("sized column")
-                    .try_into()
-                    .expect("exact chunk"),
-            )
-        }
-        const KINDS: [EventKind; 4] = [
-            EventKind::Running,
-            EventKind::Wait,
-            EventKind::Unwait,
-            EventKind::HardwareService,
-        ];
-        let mut kind_it = kinds.iter();
-        let mut tid_it = tids.chunks_exact(4);
-        let mut pid_it = pids.chunks_exact(4);
-        let mut t_it = ts.chunks_exact(8);
-        let mut cost_it = costs.chunks_exact(8);
-        let mut stack_it = stacks.chunks_exact(4);
-        let mut wtid_it = wtids.chunks_exact(4);
-
-        let mut i = 0usize; // global event index, for the wtid bitmap
-        for (raw_id, len) in ids.into_iter().zip(lens) {
-            let len = len as usize;
-            let mut events = Vec::with_capacity(len);
-            events.extend((0..len).map(|_| {
-                let kind = KINDS[(*kind_it.next().expect("sized column") & 3) as usize];
-                let wtid =
-                    (bitmap[i / 8] & (1 << (i % 8)) != 0).then(|| ThreadId(next_u32(&mut wtid_it)));
-                i += 1;
-                Event {
-                    kind,
-                    tid: ThreadId(next_u32(&mut tid_it)),
-                    pid: ProcessId(next_u32(&mut pid_it)),
-                    t: TimeNs(next_u64(&mut t_it)),
-                    cost: TimeNs(next_u64(&mut cost_it)),
-                    stack: StackId(next_u32(&mut stack_it)),
-                    wtid,
-                }
-            }));
-            // Order is preserved verbatim (no re-sort), so even streams
-            // that would fail validation round-trip unchanged.
-            ds.streams
-                .push(TraceStream::from_unchecked_parts(TraceId(raw_id), events));
-        }
-
-        // Instances.
-        let inst_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut traces = Vec::with_capacity(inst_count);
-        for _ in 0..inst_count {
-            traces.push(r.u32()?);
-        }
-        let mut tids_i = Vec::with_capacity(inst_count);
-        for _ in 0..inst_count {
-            tids_i.push(r.u32()?);
-        }
-        let mut t0s = Vec::with_capacity(inst_count);
-        for _ in 0..inst_count {
-            t0s.push(r.u64()?);
-        }
-        let mut t1s = Vec::with_capacity(inst_count);
-        for _ in 0..inst_count {
-            t1s.push(r.u64()?);
-        }
-        for ((trace, tid), (t0, t1)) in traces.into_iter().zip(tids_i).zip(t0s.into_iter().zip(t1s))
-        {
-            let scenario = name_at(r.u32()?)?;
-            ds.instances.push(ScenarioInstance {
-                trace: TraceId(trace),
-                scenario,
-                tid: ThreadId(tid),
-                t0: TimeNs(t0),
-                t1: TimeNs(t1),
-            });
-        }
-
-        if r.remaining() != 0 {
-            return Err(BinReadError::Malformed("trailing bytes in payload"));
-        }
-        Ok((ds, fingerprint))
+        Ok((decoded?, header.fingerprint))
     }
+}
+
+/// Decodes the payload sections in file order.
+fn decode_payload<R: Read>(src: &mut Source<R>) -> Result<Dataset, BinReadError> {
+    let mut ds = Dataset::new();
+
+    // Symbols.
+    let sym_count = src.count(4)?;
+    for i in 0..sym_count {
+        let sym = ds.stacks.intern_frame(src.str()?);
+        if sym.0 as usize != i {
+            return Err(BinReadError::Malformed("duplicate symbol in table"));
+        }
+    }
+
+    // Stacks.
+    let stack_count = src.count(4)?;
+    let mut frame_counts = Vec::with_capacity(stack_count);
+    for _ in 0..stack_count {
+        frame_counts.push(src.u32()?);
+    }
+    let total_frames = src.u64()?;
+    if total_frames != frame_counts.iter().map(|&c| u64::from(c)).sum::<u64>() {
+        return Err(BinReadError::Malformed("frame total mismatch"));
+    }
+    src.counted(total_frames, 4)?;
+    let mut frames = Vec::new();
+    for (i, &count) in frame_counts.iter().enumerate() {
+        frames.clear();
+        for word in src.take(4 * count as usize)?.chunks_exact(4) {
+            let sym = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+            if sym as usize >= sym_count {
+                return Err(BinReadError::Malformed("frame references unknown symbol"));
+            }
+            frames.push(Symbol(sym));
+        }
+        let id = ds.stacks.intern(&frames);
+        if id.0 as usize != i {
+            return Err(BinReadError::Malformed("duplicate stack in table"));
+        }
+    }
+
+    // Scenario-name table.
+    let name_count = src.count(4)?;
+    let mut names = Vec::with_capacity(name_count);
+    for _ in 0..name_count {
+        names.push(ScenarioName::new(src.str()?));
+    }
+    let name_at = |idx: u32| -> Result<ScenarioName, BinReadError> {
+        names
+            .get(idx as usize)
+            .copied()
+            .ok_or(BinReadError::Malformed("scenario name index out of range"))
+    };
+
+    // Scenarios.
+    let scen_count = src.count(4)?;
+    let mut scen_names = Vec::with_capacity(scen_count);
+    for _ in 0..scen_count {
+        scen_names.push(name_at(src.u32()?)?);
+    }
+    let mut fasts = Vec::with_capacity(scen_count);
+    for _ in 0..scen_count {
+        fasts.push(src.u64()?);
+    }
+    for (name, fast) in scen_names.into_iter().zip(fasts) {
+        let slow = src.u64()?;
+        if fast >= slow {
+            return Err(BinReadError::Malformed("scenario thresholds inverted"));
+        }
+        ds.scenarios.push(Scenario::new(
+            name,
+            Thresholds::new(TimeNs(fast), TimeNs(slow)),
+        ));
+    }
+
+    // Streams, one block each.
+    let stream_count = src.count(STREAM_MIN_BYTES)?;
+    let total_events = src.u64()?;
+    src.counted(total_events, EVENT_BYTES as u64)?;
+    let mut events_read = 0u64;
+    ds.streams.reserve_exact(stream_count);
+    for _ in 0..stream_count {
+        let id = TraceId(src.u32()?);
+        let len = src.u64()?;
+        let len = src.counted(len, EVENT_BYTES as u64)?;
+        events_read += len as u64;
+        let columns = EVENT_BYTES * len + len.div_ceil(8);
+        let woken: [u8; 4] = src.peek(columns + 4)?[columns..]
+            .try_into()
+            .expect("4 bytes");
+        let woken = u32::from_le_bytes(woken) as usize;
+        let events = decode_events(src.take(columns + 4 + 4 * woken)?, len, woken)?;
+        // Order is preserved verbatim (no re-sort), so even streams that
+        // would fail validation round-trip unchanged.
+        ds.streams
+            .push(TraceStream::from_unchecked_parts(id, events));
+    }
+    if events_read != total_events {
+        return Err(BinReadError::Malformed("event total mismatch"));
+    }
+
+    // Instances.
+    let inst_count = src.count(4)?;
+    let mut traces = Vec::with_capacity(inst_count);
+    for _ in 0..inst_count {
+        traces.push(src.u32()?);
+    }
+    let mut tids = Vec::with_capacity(inst_count);
+    for _ in 0..inst_count {
+        tids.push(src.u32()?);
+    }
+    let mut t0s = Vec::with_capacity(inst_count);
+    for _ in 0..inst_count {
+        t0s.push(src.u64()?);
+    }
+    let mut t1s = Vec::with_capacity(inst_count);
+    for _ in 0..inst_count {
+        t1s.push(src.u64()?);
+    }
+    ds.instances.reserve_exact(inst_count);
+    for ((trace, tid), (t0, t1)) in traces.into_iter().zip(tids).zip(t0s.into_iter().zip(t1s)) {
+        let scenario = name_at(src.u32()?)?;
+        ds.instances.push(ScenarioInstance {
+            trace: TraceId(trace),
+            scenario,
+            tid: ThreadId(tid),
+            t0: TimeNs(t0),
+            t1: TimeNs(t1),
+        });
+    }
+    Ok(ds)
+}
+
+/// Decodes one stream block's event columns (`len` events, `woken` of
+/// them with a wtid). The kind column and the wtid bitmap are checked
+/// first, so the per-event loop has no error branches.
+fn decode_events(block: &[u8], len: usize, woken: usize) -> Result<Vec<Event>, BinReadError> {
+    let (kinds, rest) = block.split_at(len);
+    let (tids, rest) = rest.split_at(4 * len);
+    let (pids, rest) = rest.split_at(4 * len);
+    let (ts, rest) = rest.split_at(8 * len);
+    let (costs, rest) = rest.split_at(8 * len);
+    let (stacks, rest) = rest.split_at(4 * len);
+    let (bitmap, rest) = rest.split_at(len.div_ceil(8));
+    let wtids = &rest[4..];
+
+    if kinds.iter().any(|&b| b > 3) {
+        return Err(BinReadError::Malformed("bad event kind"));
+    }
+    let set_bits: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+    if set_bits != woken {
+        return Err(BinReadError::Malformed("wtid bitmap/column mismatch"));
+    }
+    if !len.is_multiple_of(8) && bitmap.last().is_some_and(|&last| last >> (len % 8) != 0) {
+        return Err(BinReadError::Malformed("wtid bitmap tail bits set"));
+    }
+
+    fn next_u32(it: &mut std::slice::ChunksExact<'_, u8>) -> u32 {
+        u32::from_le_bytes(
+            it.next()
+                .expect("sized column")
+                .try_into()
+                .expect("4 bytes"),
+        )
+    }
+    fn next_u64(it: &mut std::slice::ChunksExact<'_, u8>) -> u64 {
+        u64::from_le_bytes(
+            it.next()
+                .expect("sized column")
+                .try_into()
+                .expect("8 bytes"),
+        )
+    }
+    const KINDS: [EventKind; 4] = [
+        EventKind::Running,
+        EventKind::Wait,
+        EventKind::Unwait,
+        EventKind::HardwareService,
+    ];
+    let mut tid_it = tids.chunks_exact(4);
+    let mut pid_it = pids.chunks_exact(4);
+    let mut t_it = ts.chunks_exact(8);
+    let mut cost_it = costs.chunks_exact(8);
+    let mut stack_it = stacks.chunks_exact(4);
+    let mut wtid_it = wtids.chunks_exact(4);
+    let mut events = Vec::with_capacity(len);
+    events.extend(kinds.iter().enumerate().map(|(i, &kind)| {
+        let wtid = (bitmap[i / 8] & (1 << (i % 8)) != 0).then(|| ThreadId(next_u32(&mut wtid_it)));
+        Event {
+            kind: KINDS[(kind & 3) as usize],
+            tid: ThreadId(next_u32(&mut tid_it)),
+            pid: ProcessId(next_u32(&mut pid_it)),
+            t: TimeNs(next_u64(&mut t_it)),
+            cost: TimeNs(next_u64(&mut cost_it)),
+            stack: StackId(next_u32(&mut stack_it)),
+            wtid,
+        }
+    }));
+    Ok(events)
 }
 
 #[cfg(test)]
@@ -754,6 +989,24 @@ mod tests {
             t0: TimeNs(3),
             t1: TimeNs(9),
         });
+        ds
+    }
+
+    /// [`sample`] plus a stream whose block outgrows [`IO_CHUNK`], so the
+    /// writer flushes mid-column and the reader grows its buffer.
+    fn large() -> Dataset {
+        let mut ds = sample();
+        let stack = ds.stacks.intern_symbols(&["app!Main", "net.sys!Send"]);
+        let mut tb = TraceStreamBuilder::new(2);
+        for i in 0..12_000u32 {
+            let (tid, t) = (ThreadId(10 + i % 5), TimeNs(u64::from(i) * 10));
+            match i % 3 {
+                0 => tb.push_running(tid, t, TimeNs(5), stack),
+                1 => tb.push_wait(tid, t, TimeNs(3), stack),
+                _ => tb.push_unwait(tid, ThreadId(10 + (i + 1) % 5), t, stack),
+            };
+        }
+        ds.streams.push(tb.finish().unwrap());
         ds
     }
 
@@ -862,6 +1115,129 @@ mod tests {
             Dataset::read_binary(&image).unwrap_err(),
             BinReadError::Malformed(_)
         ));
+    }
+
+    #[test]
+    fn image_is_sized_exactly() {
+        for ds in [sample(), Dataset::new()] {
+            let image = ds.to_binary(3);
+            assert_eq!(image.capacity(), image.len());
+        }
+    }
+
+    #[test]
+    fn streamed_image_is_byte_identical_to_to_binary() {
+        for ds in [sample(), large()] {
+            let image = ds.to_binary(42);
+            // Written after a prefix: the header is patched in place.
+            let mut out = io::Cursor::new(b"prefix".to_vec());
+            out.seek(SeekFrom::End(0)).unwrap();
+            let len = ds.write_binary(42, &mut out).unwrap();
+            assert_eq!(len, image.len() as u64);
+            assert_eq!(out.position(), 6 + len);
+            assert!(out.get_ref()[6..] == image[..]);
+        }
+    }
+
+    #[test]
+    fn image_larger_than_the_buffers_round_trips() {
+        let ds = large();
+        let image = ds.to_binary(9);
+        assert!(image.len() > 2 * IO_CHUNK);
+        let (back, _) = Dataset::read_binary(&image).unwrap();
+        assert!(text(&back) == text(&ds));
+        assert_eq!(back.streams[2].events(), ds.streams[2].events());
+    }
+
+    /// Hands out at most `piece` bytes per `read`.
+    struct Pieces<'a> {
+        bytes: &'a [u8],
+        piece: usize,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.piece).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn piecewise_reads_decode_like_a_whole_slice() {
+        for ds in [sample(), large()] {
+            let image = ds.to_binary(42);
+            let (whole, _) = Dataset::read_binary(&image).unwrap();
+            for piece in [1, 3, 7] {
+                let input = Pieces {
+                    bytes: &image,
+                    piece,
+                };
+                let (back, fp) = Dataset::read_binary_from(input, image.len() as u64).unwrap();
+                assert_eq!(fp, 42);
+                assert!(text(&back) == text(&whole), "pieces of {piece}");
+            }
+        }
+    }
+
+    /// Fails every read.
+    struct Broken;
+
+    impl Read for Broken {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::PermissionDenied.into())
+        }
+    }
+
+    #[test]
+    fn input_that_ends_or_fails_early_is_rejected() {
+        let image = sample().to_binary(42);
+        let len = image.len() as u64;
+        let short = &image[..image.len() - 5];
+        assert_eq!(
+            Dataset::read_binary_from(short, len).unwrap_err(),
+            BinReadError::Truncated
+        );
+        let denied = BinReadError::Io(io::ErrorKind::PermissionDenied);
+        assert_eq!(Dataset::read_binary_from(Broken, len).unwrap_err(), denied);
+        let header_then_broken = image[..HEADER_LEN].chain(Broken);
+        assert_eq!(
+            Dataset::read_binary_from(header_then_broken, len).unwrap_err(),
+            denied
+        );
+    }
+
+    #[test]
+    fn checksum_mismatch_beats_decode_errors_and_only_them() {
+        let image = sample().to_binary(42);
+        // The first event's kind byte: after the symbol, stack, name and
+        // scenario tables, the stream count and total, and the first
+        // stream's id and length.
+        let ds = sample();
+        let names = NameTable::of(&ds);
+        let tables = ds.encoded_len(&names)
+            - ds.streams
+                .iter()
+                .map(|s| stream_block_len(s.events()))
+                .sum::<usize>()
+            - (4 + 28 * ds.instances.len());
+        let kind_at = tables + 12;
+        assert_eq!(image[kind_at], kind_byte(ds.streams[0].events()[0].kind));
+
+        let mut bad = image.clone();
+        bad[kind_at] = 9;
+        assert_eq!(
+            Dataset::read_binary(&bad).unwrap_err(),
+            BinReadError::ChecksumMismatch
+        );
+        // With a checksum that matches the damage, the decode error shows.
+        let checksum = fingerprint_bytes(&bad[HEADER_LEN..]);
+        bad[24..32].copy_from_slice(&checksum.to_le_bytes());
+        assert_eq!(
+            Dataset::read_binary(&bad).unwrap_err(),
+            BinReadError::Malformed("bad event kind")
+        );
     }
 
     #[test]

@@ -321,6 +321,9 @@ impl TraceStreamBuilder {
             }
         }
         self.events.sort_by_key(|e| e.t);
+        // Growth by doubling leaves up to half the buffer spare; a
+        // finished stream never grows again.
+        self.events.shrink_to_fit();
         Ok(TraceStream {
             id: self.id,
             events: self.events,

@@ -469,7 +469,9 @@ impl LineParser {
 }
 
 /// End-of-input validation shared by the serial and sharded paths:
-/// streams must sort into dense, position-matching ids.
+/// streams must sort into dense, position-matching ids. The stream and
+/// instance lists are then trimmed to their length, so a data set holds
+/// the same heap whichever path built it.
 fn finish_streams(ds: &mut Dataset) -> Result<(), ReadError> {
     ds.streams.sort_by_key(|s| s.id().0);
     for (i, s) in ds.streams.iter().enumerate() {
@@ -477,6 +479,8 @@ fn finish_streams(ds: &mut Dataset) -> Result<(), ReadError> {
             return Err(err(0, "trace ids must be dense, starting at 0"));
         }
     }
+    ds.streams.shrink_to_fit();
+    ds.instances.shrink_to_fit();
     Ok(())
 }
 

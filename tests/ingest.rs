@@ -5,9 +5,10 @@
 
 use std::path::PathBuf;
 use tracelens::checkpoint;
-use tracelens::model::{fingerprint_bytes, BinReadError};
+use tracelens::model::binio::HEADER_LEN;
+use tracelens::model::{fingerprint_bytes, BinReadError, HeapSize};
 use tracelens::prelude::*;
-use tracelens::store::{cache_path_for, ingest_bytes, ingest_path};
+use tracelens::store::{cache_path_for, ingest_bytes, ingest_path, quarantined_cache_path};
 
 fn text_of(ds: &Dataset) -> Vec<u8> {
     let mut out = Vec::new();
@@ -78,8 +79,12 @@ fn torn_cache_at_any_offset_falls_back_to_text() {
     let image = ds.to_binary(fingerprint_bytes(&text));
 
     // Every truncation must be rejected by the raw reader...
-    for cut in (0..image.len()).step_by(13).chain([image.len() - 1]) {
-        Dataset::read_binary(&image[..cut]).expect_err("torn image must not parse");
+    for cut in 0..image.len() {
+        let e = Dataset::read_binary(&image[..cut]).expect_err("torn image must not parse");
+        assert!(
+            matches!(e, BinReadError::BadMagic | BinReadError::Truncated),
+            "cut at {cut}: {e:?}"
+        );
     }
 
     // ...and a representative set must fall back cleanly at the cache
@@ -103,6 +108,63 @@ fn torn_cache_at_any_offset_falls_back_to_text() {
 /// A mid-header offset: long enough to not look truncated at first
 /// glance, short of a complete header.
 const HEADER_GUESS: usize = 20;
+
+#[test]
+fn bit_flipped_cache_falls_back_to_text() {
+    let dir = scratch("flipped");
+    let text = text_of(&DatasetBuilder::new(5).traces(2).build());
+    let tlt = dir.join("corpus.tlt");
+    std::fs::write(&tlt, &text).expect("write text");
+    let parsed = Dataset::read_text_bytes(&text).expect("clean corpus");
+    let image = parsed.to_binary(fingerprint_bytes(&text));
+    let flip = |at: usize| {
+        let mut bad = image.clone();
+        bad[at] ^= 0x10;
+        bad
+    };
+    for at in (HEADER_LEN..image.len()).step_by(613) {
+        assert_eq!(
+            Dataset::read_binary(&flip(at)).unwrap_err(),
+            BinReadError::ChecksumMismatch,
+            "flip at {at}"
+        );
+    }
+
+    // The same damage in a cache file: the load falls back to text,
+    // keeps the damaged file for post-mortem and repacks a good one.
+    let pool = Pool::new(1);
+    let telemetry = Telemetry::noop();
+    let cache = cache_path_for(&tlt);
+    for at in (HEADER_LEN..image.len()).step_by(image.len() / 7) {
+        let damaged = flip(at);
+        std::fs::write(&cache, &damaged).expect("write damaged cache");
+        let (parsed, report) = ingest_path(&tlt, true, &pool, &telemetry).expect("text fallback");
+        assert_eq!(text_of(&parsed), text, "flip at {at}");
+        assert_eq!(report.cache_fallback, Some(CacheFallback::Corrupt));
+        assert!(report.cache_quarantined);
+        let quarantined = std::fs::read(quarantined_cache_path(&cache)).expect("quarantined");
+        assert!(quarantined == damaged, "flip at {at}: evidence lost");
+        let repacked = std::fs::read(&cache).expect("repacked cache");
+        assert!(
+            repacked == image,
+            "flip at {at}: repacked a different image"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn parsed_and_loaded_data_sets_report_equal_heap() {
+    let ds = DatasetBuilder::new(808).traces(24).build();
+    let text = text_of(&ds);
+    let telemetry = Telemetry::noop();
+    let (serial, _) = ingest_bytes(&text, &Pool::new(1), &telemetry).expect("clean corpus");
+    let (sharded, source) = ingest_bytes(&text, &Pool::new(2), &telemetry).expect("clean corpus");
+    assert_eq!(source, IngestSource::TextParallel);
+    let (loaded, _) = Dataset::read_binary(&serial.to_binary(0)).expect("fresh image");
+    assert_eq!(serial.heap_size(), loaded.heap_size(), "serial parse");
+    assert_eq!(sharded.heap_size(), loaded.heap_size(), "sharded parse");
+}
 
 #[test]
 fn cache_fallbacks_surface_in_the_sanitize_report() {
@@ -165,8 +227,16 @@ fn version_skewed_cache_is_stale_not_fatal() {
     let (parsed, report) =
         ingest_path(&tlt, true, &Pool::new(1), &Telemetry::noop()).expect("text fallback");
     assert_eq!(text_of(&parsed), text);
-    assert!(report.cache_fallback.is_some());
+    assert_eq!(report.cache_fallback, Some(CacheFallback::Stale));
+    assert!(
+        !report.cache_quarantined,
+        "another version is not corruption"
+    );
+    assert!(!quarantined_cache_path(&cache_path_for(&tlt)).exists());
     assert!(report.cache_written, "skewed cache must be rewritten");
+    let (_, warm) =
+        ingest_path(&tlt, true, &Pool::new(1), &Telemetry::noop()).expect("repacked cache");
+    assert_eq!(warm.source, IngestSource::BinaryCache);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
