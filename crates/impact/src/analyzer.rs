@@ -6,7 +6,6 @@ use tracelens_model::{
     ComponentFilter, Dataset, FilterView, ProcessId, ScenarioInstance, ScenarioName, TimeNs,
     TraceId, TraceStream,
 };
-use tracelens_pool::Pool;
 use tracelens_waitgraph::{NodeKind, StreamIndex, WaitGraph};
 
 /// Impact analysis for one component selection (paper §3.2).
@@ -38,7 +37,6 @@ use tracelens_waitgraph::{NodeKind, StreamIndex, WaitGraph};
 pub struct ImpactAnalyzer {
     filter: ComponentFilter,
     telemetry: tracelens_obs::Telemetry,
-    pool: Pool,
 }
 
 /// One stream and the instances analyzed over it (see
@@ -60,7 +58,6 @@ impl ImpactAnalyzer {
         ImpactAnalyzer {
             filter,
             telemetry: tracelens_obs::Telemetry::noop(),
-            pool: Pool::sequential(),
         }
     }
 
@@ -68,14 +65,6 @@ impl ImpactAnalyzer {
     /// `impact` stage span plus graph/node counters through it.
     pub fn with_telemetry(mut self, telemetry: tracelens_obs::Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Attaches a thread pool; per-stream analysis then fans out over its
-    /// workers. Results are identical to the sequential default — the
-    /// reduction over instance records is order-independent.
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -90,8 +79,8 @@ impl ImpactAnalyzer {
     }
 
     /// Analyzes the instances satisfying `keep` (e.g. a single scenario,
-    /// or only a slow class): one (possibly parallel) task per stream
-    /// group, then one reduction over the records.
+    /// or only a slow class): one visit per stream group, then one
+    /// reduction over the records.
     pub fn analyze_where<F>(&self, dataset: &Dataset, keep: F) -> ImpactReport
     where
         F: Fn(&ScenarioInstance) -> bool,
@@ -99,14 +88,13 @@ impl ImpactAnalyzer {
         let _span = self.telemetry.span(tracelens_obs::stage::IMPACT);
         let groups = ImpactAnalyzer::stream_groups(dataset, keep);
         let view = dataset.stacks.filter_view(&self.filter);
-        let records = self.pool.map(&groups, |_, g| {
-            let mut records = Vec::with_capacity(g.instances.len());
+        let mut records = Vec::new();
+        for g in &groups {
             self.visit_stream(dataset, g.stream, &g.instances, &view, |_, r, _| {
                 records.push(r)
             });
-            records
-        });
-        ImpactReport::from_records(records.iter().flatten())
+        }
+        ImpactReport::from_records(&records)
     }
 
     /// Groups the instances satisfying `keep` by stream, in one pass
@@ -433,31 +421,6 @@ mod tests {
         assert_eq!(p2.instances, 1);
         assert_eq!(p1.d_wait, TimeNs(30));
         assert_eq!(p2.d_wait, TimeNs(70));
-    }
-
-    #[test]
-    fn parallel_analysis_matches_sequential() {
-        // Two streams so the per-stream fan-out actually has >1 task.
-        let mut ds = fixture();
-        let drv = ds.stacks.intern_symbols(&["app!M", "net.sys!Recv"]);
-        let mut b = TraceStreamBuilder::new(1);
-        b.push_wait(ThreadId(4), TimeNs(0), TimeNs::ZERO, drv);
-        b.push_unwait(ThreadId(5), ThreadId(4), TimeNs(25), drv);
-        ds.streams.push(b.finish().unwrap());
-        ds.instances.push(ScenarioInstance {
-            trace: TraceId(1),
-            scenario: ScenarioName::new("B"),
-            tid: ThreadId(4),
-            t0: TimeNs(0),
-            t1: TimeNs(30),
-        });
-        let sequential = ImpactAnalyzer::new(ComponentFilter::suffix(".sys")).analyze(&ds);
-        for jobs in [2, 4, 8] {
-            let parallel = ImpactAnalyzer::new(ComponentFilter::suffix(".sys"))
-                .with_pool(Pool::new(jobs))
-                .analyze(&ds);
-            assert_eq!(parallel, sequential, "jobs={jobs}");
-        }
     }
 
     #[test]
